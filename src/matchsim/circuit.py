@@ -357,8 +357,7 @@ class InputSpec:
                     s = np.asarray(s)
                     if s.shape != (2,):
                         raise ValidationError("input-product", "states must be 2-vectors")
-                    if abs(np.linalg.norm(s) - 1.0) > NORM_TOL:
-                        raise ValidationError("input-norm", "product state not normalized")
+                    _check_normalized(s, "product state")
             elif isinstance(b, EntangledBlock):
                 if b.k < 1 or b.k > MAX_BLOCK_QUBITS:
                     raise ValidationError(
@@ -367,12 +366,19 @@ class InputSpec:
                 amps = np.asarray(b.amps)
                 if amps.shape != (2 ** b.k,):
                     raise ValidationError("input-block-shape", "amplitude vector has wrong length")
-                if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-                    raise ValidationError("input-norm", "entangled block not normalized")
+                _check_normalized(amps, "entangled block")
             elif isinstance(b, MagicBlock):
                 pass
             else:
                 raise ValidationError("input-kind", f"unknown block {b!r}")
+
+
+def _check_normalized(v, what):
+    # the norm test alone is False for NaN, so finiteness is checked first
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("input-finite", f"{what} has a non-finite amplitude")
+    if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
+        raise ValidationError("input-norm", f"{what} not normalized")
 
 
 def bits_input(bits: str) -> InputSpec:

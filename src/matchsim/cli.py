@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,11 +63,6 @@ class RunReport:
             "flags": self.flags,
         }
         return json.dumps(doc, sort_keys=True) + "\n"
-
-
-def _thread_pool():
-    workers = int(os.environ.get("MATCHSIM_THREADS", "1"))
-    return max(1, workers)
 
 
 def _read_circuit(path) -> Circuit:
@@ -260,18 +253,8 @@ def cmd_xcheck(args) -> tuple[int, RunReport]:
             )
     report = RunReport("xcheck", "xcheck", seed=None)
     worst = 0.0
-
-    def one(item):
-        name, c = item
-        return name, _xcheck_one(c)
-
-    workers = _thread_pool()
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(one, circuits))
-    else:
-        results = [one(item) for item in circuits]
-    for name, (dev, devs, tvs, flags) in results:
+    for name, c in circuits:
+        dev, devs, tvs, flags = _xcheck_one(c)
         worst = max(worst, dev)
         for b in sorted(devs):
             report.probabilities[f"{name}.{b}.maxdev"] = devs[b]

@@ -29,10 +29,8 @@ from .majorana import (
 from .pfaffian import (
     ChainRuleSampler,
     EvalStats,
-    OutcomeRecord,
     check_computational_program,
     measurement_slots,
-    shot_rng,
 )
 
 IMAG_TOL = 1e-10
@@ -185,23 +183,12 @@ def _eval_grouped(slots, spec, n):
     return complex(np.vdot(psi, phi))
 
 
-def sample_few_adaptive(circuit: Circuit, seed: int, shot: int = 0, *,
-                        max_adaptive: int = DEFAULT_MAX_ADAPTIVE,
-                        max_block: int = DEFAULT_MAX_BLOCK,
-                        method: str = "auto") -> OutcomeRecord:
-    """Weak simulation by iterative conditional sampling.
-
-    Deterministic under a fixed (seed, shot) pair; conditional denominators
-    below 1e-12 abort with ZeroProbabilityPrefix rather than dividing.
-    """
-    sampler = heisenberg_sampler(circuit, max_adaptive=max_adaptive,
-                                 max_block=max_block, method=method)
-    return sampler.sample(shot_rng(seed, shot))
-
-
 def heisenberg_sampler(circuit: Circuit, *, max_adaptive: int = DEFAULT_MAX_ADAPTIVE,
                        max_block: int = DEFAULT_MAX_BLOCK,
                        method: str = "auto") -> ChainRuleSampler:
+    """Weak simulation by iterative conditional sampling; draw shots with
+    ``pfaffian.sample_many(circuit, shots, seed, sampler=...)``."""
+
     def prob_fn(oc):
         return joint_prob_few_adaptive(circuit, oc, max_adaptive=max_adaptive,
                                        max_block=max_block, method=method)

@@ -190,34 +190,18 @@ def gate_rotation_block(gate) -> np.ndarray:
     return block.real
 
 
-def gate_rotation(gate, line: int, n: int) -> np.ndarray:
-    """2n x 2n rotation of a single matchgate on lines (line, line+1)."""
-    r = np.eye(2 * n)
-    j = slice(2 * line, 2 * line + 4)
-    r[j, j] = gate_rotation_block(gate)
-    return r
-
-
-def segment_rotation(gates, n: int, convention: str = "first-leftmost") -> np.ndarray:
-    """Rotation of a gate sequence (first-applied gate first in the list).
+def segment_rotation(gates, n: int) -> np.ndarray:
+    """Rotation of a sequence of ``Gate`` instructions (first-applied gate
+    first in the list).
 
     With U c_mu U^dag = sum_nu R[mu, nu] c_nu and U = g_m ... g_1, one has
-    R(U) = R(g_1) R(g_2) ... R(g_m).  The reverse order is kept behind the
-    ``convention`` switch ("first-rightmost") solely so the pinning test can
-    demonstrate that it disagrees with the dense oracle.
+    R(U) = R(g_1) R(g_2) ... R(g_m).
     """
     r = np.eye(2 * n)
     for g in gates:
-        block = gate_rotation_block(g.gate if hasattr(g, "gate") else g)
-        line = g.line if hasattr(g, "line") else 0
-        j = slice(2 * line, 2 * line + 4)
-        if convention == "first-leftmost":
-            # r @ r_gate touches only the four banded columns
-            r[:, j] = r[:, j] @ block
-        elif convention == "first-rightmost":
-            r[j, :] = block @ r[j, :]
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
+        j = slice(2 * g.line, 2 * g.line + 4)
+        # r @ r_gate touches only the four banded columns
+        r[:, j] = r[:, j] @ gate_rotation_block(g.gate)
     return r
 
 

@@ -259,16 +259,17 @@ def measurement_slots(circuit, outcomes, backend="pfaffian"):
 
 @dataclass
 class CanonicalInput:
-    """bits + optional trailing superposition zone (|+> line and/or an
-    entangled block, merged)."""
+    """bits + trailing superposition zone (|+> line and/or an entangled
+    block, merged); a bit-string input has a zone of width 0 whose single
+    amplitude is 1."""
 
     bits: str
     zone_start: int
-    zone_amps: np.ndarray | None  # None when the input is bits only
+    zone_amps: np.ndarray
 
     @property
     def zone_width(self):
-        return 0 if self.zone_amps is None else int(np.log2(len(self.zone_amps)))
+        return int(np.log2(len(self.zone_amps)))
 
 
 def split_canonical_input(circuit: Circuit, backend="pfaffian", zone_cap=DEFAULT_ZONE_CAP):
@@ -279,25 +280,23 @@ def split_canonical_input(circuit: Circuit, backend="pfaffian", zone_cap=DEFAULT
     bits after the zone) needs ``gadgets.compile_input`` first.
     """
     bits = []
-    zone = None
+    zone = np.ones(1, dtype=complex)  # width 0 until the first zone block
     for block in circuit.input.blocks:
-        if isinstance(block, BitsBlock) and zone is None:
+        if isinstance(block, BitsBlock) and len(zone) == 1:
             bits.append(block.bits)
         elif isinstance(block, (ProductBlock, EntangledBlock, MagicBlock)):
-            vec = block.state()
-            zone = vec if zone is None else np.kron(zone, vec)
+            zone = np.kron(zone, block.state())
         else:
             raise BackendInapplicable(
                 backend, "input is not in canonical bits + trailing-zone form; "
                          "compile it first"
             )
     bits = "".join(bits)
-    if zone is not None:
-        width = circuit.n - len(bits)
-        if width > zone_cap:
-            raise BlockTooLarge(
-                f"superposition zone of width {width} exceeds cap {zone_cap}"
-            )
+    width = circuit.n - len(bits)
+    if width > zone_cap:
+        raise BlockTooLarge(
+            f"superposition zone of width {width} exceeds cap {zone_cap}"
+        )
     return CanonicalInput(bits, len(bits), zone)
 
 
@@ -321,10 +320,10 @@ def _input_slots(lines, n, kind):
 # ---------------------------------------------------------------------------
 
 
-def _clamp_probability(value, flags):
+def _clamp_probability(value, flags) -> float:
     if abs(value.imag) > NEG_CLAMP:
         flags.append(f"imaginary residual {value.imag:.2e}")
-    p = value.real
+    p = float(value.real)
     if p < 0:
         if p < -NEG_CLAMP:
             flags.append(f"negative probability {p:.2e}")
@@ -332,48 +331,27 @@ def _clamp_probability(value, flags):
     return p
 
 
-def joint_prob_bits(circuit: Circuit, outcomes: dict, stats: EvalStats | None = None) -> float:
-    """Joint probability of an outcome assignment for a bit-string input.
+def joint_prob_entangled(circuit: Circuit, outcomes: dict,
+                         stats: EvalStats | None = None,
+                         zone_cap=DEFAULT_ZONE_CAP) -> float:
+    """Joint probability of an outcome assignment for bits + one trailing
+    superposition zone.
 
     ``outcomes`` assigns bits to a prefix of the intermediate records plus
     any subset of final records (unassigned finals are marginalized).
+    The zone state is expanded over computational components w with
+    amplitudes lam_w; the probability is sum over (w, w') of
+    lam_w lam_{w'}^* Pf(O_{w,w'}), and pairs whose Hamming weights differ in
+    parity are skipped since their vacuum expectation vanishes.  A bit-string
+    input is the width-0 zone: one pair, one Pfaffian.
     """
     check_computational_program(circuit, "pfaffian")
-    canon = split_canonical_input(circuit, "pfaffian")
-    if canon.zone_amps is not None:
-        return joint_prob_entangled(circuit, outcomes, stats)
+    canon = split_canonical_input(circuit, "pfaffian", zone_cap)
     stats = stats if stats is not None else EvalStats()
     mids = measurement_slots(circuit, outcomes)
     n = circuit.n
     stats.term_count += (2 * n) ** len(mids)
     stats.method = "pfaffian"
-    ones = _one_positions(canon.bits)
-    slots = _input_slots(ones, n, "q") + mids + _input_slots(ones, n, "p")
-    h = h_matrix(n)
-    value = pfaffian(build_o(slots, h), check=False)
-    stats.evaluated_pairs += 1
-    return _clamp_probability(value, stats.flags)
-
-
-def joint_prob_entangled(circuit: Circuit, outcomes: dict,
-                         stats: EvalStats | None = None,
-                         zone_cap=DEFAULT_ZONE_CAP) -> float:
-    """Joint probability for bits + one trailing superposition zone.
-
-    The zone state is expanded over computational components w with
-    amplitudes lam_w; the probability is sum over (w, w') of
-    lam_w lam_{w'}^* Pf(O_{w,w'}), and pairs whose Hamming weights differ in
-    parity are skipped since their vacuum expectation vanishes.
-    """
-    check_computational_program(circuit, "pfaffian")
-    canon = split_canonical_input(circuit, "pfaffian", zone_cap)
-    stats = stats if stats is not None else EvalStats()
-    if canon.zone_amps is None:
-        return joint_prob_bits(circuit, outcomes, stats)
-    mids = measurement_slots(circuit, outcomes)
-    n = circuit.n
-    stats.term_count += (2 * n) ** len(mids)
-    stats.method = "pfaffian-entangled"
     h = h_matrix(n)
     base = _one_positions(canon.bits)
     amps = canon.zone_amps
@@ -464,11 +442,6 @@ class ChainRuleSampler:
         return OutcomeRecord(tuple(assignments))
 
 
-def shot_rng(seed: int, shot: int) -> np.random.Generator:
-    """Per-shot generator derived from the master seed by a counter scheme."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, shot))))
-
-
 class _RowRng:
     """Uniform draws served from a precomputed row."""
 
@@ -482,15 +455,8 @@ class _RowRng:
         return v
 
 
-def sample_adaptive(circuit: Circuit, seed: int, shot: int = 0,
-                    sampler: ChainRuleSampler | None = None) -> OutcomeRecord:
-    """One weak-simulation shot of an adaptive circuit (canonical input)."""
-    sampler = sampler or ChainRuleSampler(circuit)
-    return sampler.sample(shot_rng(seed, shot))
-
-
 def sample_many(circuit: Circuit, shots: int, seed: int,
-                prob_fn=None, sampler: ChainRuleSampler | None = None) -> list:
+                sampler: ChainRuleSampler | None = None) -> list:
     """Deterministic multi-shot sampling with a shared conditional cache.
 
     Shot i consumes row i of a uniform table drawn once from the master
@@ -498,7 +464,7 @@ def sample_many(circuit: Circuit, shots: int, seed: int,
     are reproducible and independent of how rows are later distributed
     across workers.
     """
-    sampler = sampler or ChainRuleSampler(circuit, prob_fn)
+    sampler = sampler or ChainRuleSampler(circuit)
     rows = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(
         (shots, max(1, len(sampler.order)))
     )

@@ -95,6 +95,15 @@ def _block_from_json(obj):
     raise CircuitSyntaxError(f"unknown input block kind {kind!r}")
 
 
+def _field(obj, key, convert, what):
+    """``convert(obj[key])``; a missing or unconvertible field is a syntax
+    error, not a crash."""
+    try:
+        return convert(obj[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CircuitSyntaxError(f"{what}: missing or bad field {key!r}") from exc
+
+
 def _guard_to_json(guard):
     return {"ids": sorted(guard.ids), "parity": guard.parity}
 
@@ -114,11 +123,13 @@ def _basis_to_json(basis):
 def _basis_from_json(obj):
     if obj is None:
         return Computational()
+    if not isinstance(obj, dict):
+        raise CircuitSyntaxError(f"basis must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "computational":
         return Computational()
     if kind == "tilted":
-        return Tilted(float(obj["x"]), float(obj.get("phase", 0.0)))
+        return Tilted(_field(obj, "x", float, "tilted basis"), float(obj.get("phase", 0.0)))
     raise CircuitSyntaxError(f"unknown basis kind {kind!r}")
 
 
@@ -152,8 +163,9 @@ def _instruction_from_json(obj, idx):
     if not isinstance(obj, dict) or "op" not in obj:
         raise CircuitSyntaxError(f"program[{idx}] must be an object with 'op'")
     op = obj["op"]
+    where = f"program[{idx}]"
     if op == "gate":
-        line = int(obj["line"]) - 1
+        line = _field(obj, "line", int, where) - 1
         guard = _guard_from_json(obj["guard"]) if "guard" in obj else None
         if "angles" in obj:
             vals = obj["angles"]
@@ -168,14 +180,14 @@ def _instruction_from_json(obj, idx):
         raise CircuitSyntaxError(f"program[{idx}]: gate needs 'angles' or 'matrix'")
     if op == "measure":
         return Measure(
-            line=int(obj["line"]) - 1,
-            record_id=str(obj["id"]),
+            line=_field(obj, "line", int, where) - 1,
+            record_id=_field(obj, "id", str, where),
             role=str(obj.get("role", "final")),
             basis=_basis_from_json(obj.get("basis")),
         )
     if op == "macro":
         params = {k: v for k, v in obj.items() if k not in ("op", "name")}
-        return Macro.make(str(obj["name"]), **params)
+        return Macro.make(_field(obj, "name", str, where), **params)
     raise CircuitSyntaxError(f"program[{idx}]: unknown op {op!r}")
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from matchsim.circuit import (
+    BitsBlock,
     Circuit,
     EntangledBlock,
     FSWAP,
@@ -179,13 +180,51 @@ def test_gadget_expand_nested_macros(tmp_path, capsys):
     assert "gate" in ops and "measure" in ops
 
 
-def test_xcheck_deterministic_under_thread_pool(tmp_path, capsys, monkeypatch):
-    c = random_mg_circuit(4, 12, seed=55, n_intermediate=1)
-    path = tmp_path / "c.json"
+def test_xcheck_random_deterministic_bytes(capsys):
+    argv = ["xcheck", "--random", "4", "12", "3", "55", "--json"]
+    code, first = run_cli(capsys, *argv)
+    assert code == 0
+    _, second = run_cli(capsys, *argv)
+    assert first == second
+
+
+def test_prob_text_on_entangled_zone_prints_plain_floats(tmp_path, capsys):
+    spec = InputSpec((BitsBlock("1"), EntangledBlock(1, np.array([0.6, 0.8]))))
+    c = Circuit(2, spec, (Gate(0, FSWAP), Measure(0, "a", "final"),
+                          Measure(1, "b", "final"))).validate()
+    path = tmp_path / "zone.json"
     path.write_text(serialize_circuit(c))
-    code = main(["xcheck", str(path), "--json"])
-    base = capsys.readouterr().out
-    monkeypatch.setenv("MATCHSIM_THREADS", "3")
-    code = main(["xcheck", str(path), "--json"])
-    threaded = capsys.readouterr().out
-    assert base == threaded
+    code, out = run_cli(capsys, "prob", str(path), "-p", "1*", "--backend", "pfaffian")
+    assert code == 0
+    assert "np.float64" not in out
+    line = next(l for l in out.splitlines() if l.startswith("p(1*) = "))
+    assert float(line.split(" = ")[1]) == pytest.approx(0.64, abs=1e-12)
+    code, out = run_cli(capsys, "xcheck", str(path))
+    assert code == 0
+    assert "pfaffian.maxdev" in out and "np.float64" not in out
+
+
+@pytest.mark.parametrize("state", [[float("nan"), 0, 1, 0], [float("inf"), 0, 0, 0]])
+def test_non_finite_amplitude_rejected(tmp_path, capsys, state):
+    doc = {"n": 1, "input": [{"kind": "product", "states": [state]}],
+           "program": [{"op": "measure", "line": 1, "id": "x", "role": "final",
+                        "basis": {"kind": "computational"}}]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "prob", str(path), "-p", "0")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("instruction", [
+    {"op": "measure", "line": 1, "role": "final", "basis": {"kind": "computational"}},
+    {"op": "gate", "angles": [0, 0, 0, 0, 0, 0]},
+    {"op": "measure", "line": 1, "id": "x", "role": "final", "basis": 3},
+])
+def test_malformed_instruction_exit_code(tmp_path, capsys, instruction):
+    doc = {"n": 2, "input": [{"kind": "bits", "value": "00"}],
+           "program": [instruction, {"op": "measure", "line": 2, "id": "y", "role": "final",
+                                     "basis": {"kind": "computational"}}]}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["prob", str(path), "-p", "0"]) == 2

@@ -18,12 +18,12 @@ from matchsim.circuit import (
 )
 from matchsim.errors import BackendInapplicable, BudgetExceeded
 from matchsim.heisenberg import (
+    heisenberg_sampler,
     joint_prob_few_adaptive,
-    sample_few_adaptive,
     strong_single_line,
 )
 from matchsim.oracle import random_mg_circuit, run_exact
-from matchsim.pfaffian import EvalStats, joint_prob_bits
+from matchsim.pfaffian import EvalStats, joint_prob_entangled, sample_many
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
@@ -134,25 +134,21 @@ def test_backend_equivalence_with_pfaffian_k0():
     for x in np.ndindex(*([2] * 5)):
         oc = {f"x{l}": int(x[l]) for l in range(5)}
         ph = joint_prob_few_adaptive(c, oc, method="grouped")
-        pp = joint_prob_bits(c, oc)
+        pp = joint_prob_entangled(c, oc)
         assert abs(ph - pp) < 1e-8
 
 
 def test_sampling_deterministic_and_matches_oracle():
     spec = InputSpec((ProductBlock((PLUS,)), BitsBlock("00")))
     c = random_mg_circuit(3, 10, seed=24, n_intermediate=1, final_lines=[1], input_spec=spec)
-    r1 = sample_few_adaptive(c, seed=1)
-    r2 = sample_few_adaptive(c, seed=1)
-    assert r1.assignments == r2.assignments
+    r1 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
+    r2 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
+    assert [r.assignments for r in r1] == [r.assignments for r in r2]
     dist = run_exact(c)
-    from matchsim.heisenberg import heisenberg_sampler
-    from matchsim.pfaffian import shot_rng
-
     sampler = heisenberg_sampler(c, method="grouped")
     counts = {}
     shots = 3000
-    for i in range(shots):
-        r = sampler.sample(shot_rng(2, i))
+    for r in sample_many(c, shots, seed=2, sampler=sampler):
         key = tuple(sorted(r.bits().items()))
         counts[key] = counts.get(key, 0) + 1
     tv = 0.5 * sum(abs(counts.get(tuple(sorted(dict(rec).items())), 0) / shots - p)
@@ -162,12 +158,9 @@ def test_sampling_deterministic_and_matches_oracle():
 
 def test_two_adaptive_sampler_tv_at_1e5_shots():
     # empirical distribution of a 2-adaptive n=4 circuit vs the oracle
-    from matchsim.pfaffian import sample_many
-
     c = random_mg_circuit(4, 18, seed=25, n_intermediate=2, final_lines=[0, 3],
                           input_spec=bits_input("0100"))
-    sampler = __import__("matchsim.heisenberg", fromlist=["heisenberg_sampler"]) \
-        .heisenberg_sampler(c, method="grouped")
+    sampler = heisenberg_sampler(c, method="grouped")
     recs = sample_many(c, 100_000, seed=12, sampler=sampler)
     dist = run_exact(c)
     counts = {}

@@ -23,7 +23,6 @@ from matchsim.errors import BlockTooLarge
 from matchsim.majorana import (
     apply_majorana_sum,
     expectation_pauli,
-    gate_rotation,
     h_matrix,
     identity_string,
     majorana_action_table,
@@ -176,7 +175,7 @@ def test_vacuum_two_point_function_equals_h():
 
 def test_identity_gate_rotation():
     g = matchgate_from_angles(MatchgateAngles(0, 0, 0, 0, 0, 0))
-    assert np.allclose(gate_rotation(g, 0, 3), np.eye(6))
+    assert np.allclose(segment_rotation([Gate(0, g)], 3), np.eye(6))
 
 
 def test_fswap_rotation_permutes_majoranas():
@@ -188,7 +187,7 @@ def test_fswap_rotation_permutes_majoranas():
         conj = u @ dense_majorana(mu, n) @ u.conj().T
         for nu in range(1, 5):
             want[mu - 1, nu - 1] = np.trace(dense_majorana(nu, n) @ conj).real / 2 ** n
-    r = gate_rotation(FSWAP, 0, n)
+    r = segment_rotation([Gate(0, FSWAP)], n)
     assert np.allclose(r, want, atol=1e-12)
     # maps (c1,c2,c3,c4) -> (c3,c4,c1,c2) up to signs
     perm = np.abs(r)
@@ -202,7 +201,7 @@ def test_random_gate_rotation_matches_dense_conjugation_and_is_orthogonal():
         g = matchgate_from_angles(MatchgateAngles(*rng.uniform(0, 2 * np.pi, 6)))
         line = int(rng.integers(0, n - 1))
         u = embed_gate(g.matrix(), line, n)
-        r = gate_rotation(g, line, n)
+        r = segment_rotation([Gate(line, g)], n)
         assert orthogonality_residual(r) < 1e-10
         for mu in range(1, 2 * n + 1):
             conj = u @ dense_majorana(mu, n) @ u.conj().T
@@ -225,7 +224,7 @@ def test_composition_convention_pinned_by_dense_oracle():
         for nu in range(1, 2 * n + 1):
             want[mu - 1, nu - 1] = (np.trace(dense_majorana(nu, n) @ conj) / 2 ** n).real
     r_good = segment_rotation(gates, n)
-    r_bad = segment_rotation(gates, n, convention="first-rightmost")
+    r_bad = segment_rotation(gates[1:], n) @ segment_rotation(gates[:1], n)
     assert np.max(np.abs(r_good - want)) < 1e-10
     assert np.max(np.abs(r_bad - want)) > 1e-3
 
@@ -240,7 +239,7 @@ def test_segment_homomorphism_against_per_gate_products():
     r = segment_rotation(gates, n)
     acc = np.eye(2 * n)
     for g in gates:
-        acc = acc @ gate_rotation(g.gate, g.line, n)
+        acc = acc @ segment_rotation([g], n)
     assert np.max(np.abs(r - acc)) < 1e-10
     assert orthogonality_residual(r) < 1e-10
 

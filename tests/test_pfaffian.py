@@ -23,11 +23,9 @@ from matchsim.pfaffian import (
     ContractionSlot,
     EvalStats,
     build_o,
-    joint_prob_bits,
     joint_prob_entangled,
     pfaffian,
     pfaffian_brute,
-    sample_adaptive,
     sample_many,
     split_canonical_input,
 )
@@ -124,7 +122,7 @@ def test_single_final_measurement_matches_heisenberg():
 
     c = random_mg_circuit(4, 20, seed=5)
     for line in range(4):
-        p_pf = joint_prob_bits(c, {f"x{line}": 1})
+        p_pf = joint_prob_entangled(c, {f"x{line}": 1})
         p_h = strong_single_line(c, line)
         assert abs(p_pf - p_h) < 1e-10
 
@@ -136,19 +134,19 @@ def test_identity_circuit_is_a_delta_distribution():
     for x in np.ndindex(2, 2, 2, 2):
         oc = {f"x{l}": int(x[l]) for l in range(4)}
         want = 1.0 if "".join(map(str, x)) == w else 0.0
-        assert joint_prob_bits(c, oc) == pytest.approx(want, abs=1e-12)
+        assert joint_prob_entangled(c, oc) == pytest.approx(want, abs=1e-12)
 
 
 def test_fswap_swaps_bits():
     c = Circuit(2, bits_input("10"),
                 (Gate(0, FSWAP), Measure(0, "a", "final"), Measure(1, "b", "final"))).validate()
-    assert joint_prob_bits(c, {"a": 0, "b": 1}) == pytest.approx(1.0)
-    assert joint_prob_bits(c, {"a": 1, "b": 0}) == pytest.approx(0.0, abs=1e-12)
+    assert joint_prob_entangled(c, {"a": 0, "b": 1}) == pytest.approx(1.0)
+    assert joint_prob_entangled(c, {"a": 1, "b": 0}) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projector_onto_prepared_one():
     c = Circuit(2, bits_input("10"), (Measure(0, "x", "final"), Measure(1, "y", "final"))).validate()
-    assert joint_prob_bits(c, {"x": 1}) == pytest.approx(1.0)
+    assert joint_prob_entangled(c, {"x": 1}) == pytest.approx(1.0)
 
 
 def test_random_adaptive_joint_matches_oracle_and_normalizes():
@@ -158,7 +156,7 @@ def test_random_adaptive_joint_matches_oracle_and_normalizes():
     dist = run_exact(c)
     total = 0.0
     for rec, p in dist.probs.items():
-        q = joint_prob_bits(c, dict(rec))
+        q = joint_prob_entangled(c, dict(rec))
         assert abs(p - q) < 1e-8
         total += q
     assert total == pytest.approx(1.0, abs=1e-8)
@@ -170,7 +168,7 @@ def test_prefix_marginals_consistent():
     dist = run_exact(c)
     for y1 in (0, 1):
         want = dist.probability({"m0": y1})
-        got = joint_prob_bits(c, {"m0": y1})
+        got = joint_prob_entangled(c, {"m0": y1})
         assert abs(want - got) < 1e-9
 
 
@@ -183,7 +181,7 @@ def test_zone_degenerate_single_component_equals_bits():
     c2 = random_mg_circuit(3, 15, seed=8, input_spec=bits_input("010"))
     for x in np.ndindex(2, 2, 2):
         oc = {f"x{l}": int(x[l]) for l in range(3)}
-        assert abs(joint_prob_entangled(c1, oc) - joint_prob_bits(c2, oc)) < 1e-12
+        assert abs(joint_prob_entangled(c1, oc) - joint_prob_entangled(c2, oc)) < 1e-12
 
 
 def test_plus_zone_against_oracle_with_hadamard_pair_circuit():
@@ -245,9 +243,9 @@ def test_non_canonical_input_rejected():
 
 def test_sampler_deterministic_under_seed():
     c = random_mg_circuit(4, 20, seed=11, n_intermediate=2)
-    r1 = sample_adaptive(c, seed=3)
-    r2 = sample_adaptive(c, seed=3)
-    assert r1.assignments == r2.assignments
+    r1 = sample_many(c, 5, seed=3)
+    r2 = sample_many(c, 5, seed=3)
+    assert [r.assignments for r in r1] == [r.assignments for r in r2]
 
 
 def test_sampler_nonadapt_equals_categorical_draw():
@@ -269,7 +267,7 @@ def test_sampler_conditionals_in_range_and_product_equals_joint():
     for r in recs:
         for _, _, cond in r.assignments:
             assert -1e-12 <= cond <= 1 + 1e-12
-        joint = joint_prob_bits(c, r.bits())
+        joint = joint_prob_entangled(c, r.bits())
         assert abs(r.joint_probability() - joint) < 1e-8
 
 
