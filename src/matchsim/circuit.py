@@ -22,9 +22,8 @@ UNITARY_TOL = 1e-10  # 100x double-precision accumulation error for 2x2 products
 NORM_TOL = 1e-12
 MAX_BLOCK_QUBITS = 20  # parse-time cap on entangled block width
 
-# Bell state (|00> + |11>)/sqrt(2) and the 4-qubit magic state |Phi+>_13 |Phi+>_24,
-# written in the computational basis with line 1 as the most significant bit.
-BELL_AMPS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+# The 4-qubit magic state |Phi+>_13 |Phi+>_24, written in the computational
+# basis with line 1 as the most significant bit.
 MAGIC_AMPS = np.zeros(16, dtype=complex)
 MAGIC_AMPS[[0b0000, 0b0101, 0b1010, 0b1111]] = 0.5
 
@@ -227,9 +226,6 @@ class Macro:
         return default
 
 
-Instruction = Union[Gate, Measure, Macro]
-
-
 # ---------------------------------------------------------------------------
 # Input specification
 # ---------------------------------------------------------------------------
@@ -330,15 +326,6 @@ class InputSpec:
     @property
     def n(self):
         return sum(b.n for b in self.blocks)
-
-    def block_spans(self):
-        """(start_line, block) pairs, start 0-based."""
-        spans = []
-        pos = 0
-        for b in self.blocks:
-            spans.append((pos, b))
-            pos += b.n
-        return spans
 
     def state(self):
         """Dense 2^n state vector, line 0 as the most significant bit."""

@@ -11,13 +11,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import heisenberg, oracle, pfaffian
 from .circuit import Circuit
-from .errors import BackendInapplicable, MatchsimError, ValidationError
+from .errors import BackendInapplicable, Inapplicable, MatchsimError, ValidationError
 from .gadgets import compile_circuit, expand_macros
 from .serialize import parse_circuit, serialize_circuit
 
@@ -94,8 +94,9 @@ def _pattern_assignment(circuit, pattern):
     return out
 
 
-def _marginal_probability(circuit, pattern, backend, max_adaptive, max_block):
-    """p(pattern) marginalized over wildcards and intermediate outcomes."""
+def _marginal_probability(circuit, pattern, backend, max_adaptive, max_block, stats):
+    """p(pattern) marginalized over wildcards and intermediate outcomes;
+    the backends' numerical-health flags accumulate in ``stats.flags``."""
     assignment = _pattern_assignment(circuit, pattern)
     inters = _intermediate_records(circuit)
     counters = {}
@@ -105,7 +106,6 @@ def _marginal_probability(circuit, pattern, backend, max_adaptive, max_block):
         return dist.probability(assignment), counters
     total = 0.0
     if backend == "heisenberg":
-        stats = pfaffian.EvalStats()
         if not inters and len(assignment) == 1:
             ((rid, bit),) = assignment.items()
             line = next(m.line for m in circuit.measurements("final") if m.record_id == rid)
@@ -122,7 +122,6 @@ def _marginal_probability(circuit, pattern, backend, max_adaptive, max_block):
         return total, counters
     # pfaffian
     work, _ = compile_circuit(circuit)
-    stats = pfaffian.EvalStats()
     for y in np.ndindex(*([2] * len(inters))):
         oc = dict(zip(inters, map(int, y)))
         oc.update(assignment)
@@ -160,10 +159,11 @@ def cmd_prob(args) -> tuple[int, RunReport]:
     if circuit.has_macros():
         raise BackendInapplicable("prob", "circuit has unexpanded macros; run gadget expand")
     backend = _pick_backend(args.backend, circuit, args.pattern)
+    stats = pfaffian.EvalStats()
     p, counters = _marginal_probability(circuit, args.pattern, backend,
-                                        args.max_adaptive, args.max_block)
-    report = RunReport(backend, "prob", seed=None,
-                       probabilities={args.pattern: p}, counters=counters)
+                                        args.max_adaptive, args.max_block, stats)
+    report = RunReport(backend, "prob", seed=None, probabilities={args.pattern: p},
+                       counters=counters, flags=stats.flags)
     return EXIT_OK, report
 
 
@@ -203,9 +203,9 @@ def cmd_sample(args) -> tuple[int, RunReport]:
 def _xcheck_one(circuit):
     """Run every applicable backend against the oracle joint distribution.
 
-    Returns (max_abs_deviation, tv_distances dict, flags)."""
+    Returns (max_abs_deviation, deviations dict, tv_distances dict, flags)."""
     dist = oracle.run_exact(circuit)
-    flags = []
+    stats = pfaffian.EvalStats()
     devs = {}
     tvs = {}
     # pfaffian on the compiled circuit, compared against the oracle on the
@@ -215,11 +215,12 @@ def _xcheck_one(circuit):
     dev = 0.0
     tv = 0.0
     for rec, p in wdist.probs.items():
-        q = pfaffian.joint_prob_entangled(work, dict(rec))
+        q = pfaffian.joint_prob_entangled(work, dict(rec), stats)
         dev = max(dev, abs(p - q))
         tv += abs(p - q)
     devs["pfaffian"] = dev
     tvs["pfaffian"] = tv / 2
+    flags = stats.flags
     # heisenberg where applicable
     k = len(_intermediate_records(circuit))
     try:
@@ -273,11 +274,9 @@ def cmd_gadget_expand(args) -> tuple[int, RunReport]:
     text = serialize_circuit(expanded)
     report = RunReport("gadgets", "gadget-expand")
     report.samples = [text.rstrip("\n")]
-    for name, c in sorted(cost.items()):
-        report.counters[f"{name}.gates"] = c.gates
-        report.counters[f"{name}.measurements"] = c.measurements
-        report.counters[f"{name}.ancilla_lines"] = c.ancilla_lines
-        report.counters[f"{name}.magic_consumed"] = c.magic_consumed
+    for name, c in cost.items():
+        for key, value in asdict(c).items():
+            report.counters[f"{name}.{key}"] = value
     report.counters["lines"] = expanded.n
     return EXIT_OK, report
 
@@ -288,13 +287,19 @@ def build_parser():
                                              "matchgate circuits")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--backend", choices=["auto", "heisenberg", "pfaffian", "oracle"],
-                       default="auto")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--max-adaptive", type=int, default=3)
-        p.add_argument("--max-block", type=int, default=12)
+    options = {
+        "--backend": dict(choices=["auto", "heisenberg", "pfaffian", "oracle"],
+                          default="auto"),
+        "--seed": dict(type=int, default=0),
+        "--tol": dict(type=float, default=DEFAULT_TOL),
+        "--max-adaptive": dict(type=int, default=3),
+        "--max-block": dict(type=int, default=12),
+    }
+
+    def common(p, *names):
+        """The named options, each read by the subcommand, plus --json."""
+        for name in names:
+            p.add_argument(name, **options[name])
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("prob", help="probability of an outcome pattern")
@@ -302,18 +307,18 @@ def build_parser():
     p.add_argument("--pattern", "-p", required=True,
                    help="final-outcome pattern over the final measurements, "
                         "e.g. 01*1 (* marginalizes)")
-    common(p)
+    common(p, "--backend", "--max-adaptive", "--max-block")
 
     p = sub.add_parser("sample", help="weak simulation: sample outcome records")
     p.add_argument("circuit")
     p.add_argument("--shots", type=int, default=1)
-    common(p)
+    common(p, "--backend", "--seed", "--max-adaptive", "--max-block")
 
     p = sub.add_parser("xcheck", help="differential check of all backends vs the oracle")
     p.add_argument("circuit", nargs="?", default=None)
     p.add_argument("--random", nargs=4, type=int, metavar=("N", "DEPTH", "COUNT", "SEED"),
                    help="check COUNT random circuits instead of a file")
-    common(p)
+    common(p, "--tol", "--max-adaptive")
 
     p = sub.add_parser("gadget", help="gadget utilities")
     gsub = p.add_subparsers(dest="gadget_command", required=True)
@@ -341,7 +346,7 @@ def main(argv=None) -> int:
             code, report = cmd_xcheck(args)
         else:
             code, report = cmd_gadget_expand(args)
-    except BackendInapplicable as exc:
+    except Inapplicable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     except MatchsimError as exc:

@@ -45,11 +45,15 @@ class UnresolvedGuard(MatchsimError):
     """A guard references a measurement record with no assigned outcome."""
 
 
+class Inapplicable(MatchsimError):
+    """A valid input that the chosen backend cannot handle (CLI exit 3)."""
+
+
 class NonRealResidual(MatchsimError):
     """A Majorana rotation entry came out complex; the gate is not a matchgate."""
 
 
-class BlockTooLarge(MatchsimError):
+class BlockTooLarge(Inapplicable):
     """An entangled input block exceeds the configured width cap."""
 
 
@@ -57,7 +61,7 @@ class ImaginaryResidual(MatchsimError):
     """A probability evaluated with an imaginary part above tolerance."""
 
 
-class BudgetExceeded(MatchsimError):
+class BudgetExceeded(Inapplicable):
     """The estimated summand count exceeds the evaluation budget."""
 
     def __init__(self, count, budget):
@@ -72,10 +76,6 @@ class ZeroProbabilityPrefix(MatchsimError):
 
 class NotSkew(MatchsimError):
     """Matrix handed to the Pfaffian is not antisymmetric within tolerance."""
-
-
-class InconsistentSlots(MatchsimError):
-    """Contraction slot list does not match any realizable operator ordering."""
 
 
 class DecompositionFailure(MatchsimError):
@@ -102,7 +102,7 @@ class UnsupportedLayout(MatchsimError):
     """Input specification cannot be lowered to canonical form."""
 
 
-class CapExceeded(MatchsimError):
+class CapExceeded(Inapplicable):
     """Oracle size or branch caps exceeded."""
 
 
@@ -110,7 +110,7 @@ class ZeroConditionMass(MatchsimError):
     """Post-selection constraint has (near-)zero probability mass."""
 
 
-class BackendInapplicable(MatchsimError):
+class BackendInapplicable(Inapplicable):
     """The requested backend cannot simulate the given circuit."""
 
     def __init__(self, backend, reason):

@@ -35,8 +35,10 @@ from .circuit import (
 )
 from .errors import (
     DecompositionFailure,
+    DeterminantMismatch,
     MaxAttemptsExceeded,
     NoMagicAvailable,
+    NotUnitary,
     UnsupportedLayout,
     ValidationError,
 )
@@ -46,7 +48,6 @@ XHX = X2 @ H2 @ X2
 MINUS_Z = np.diag([-1.0, 1.0]).astype(complex)
 FSWAP_MINUS = matchgate_from_components(MINUS_Z, X2)
 XX_PAIR = matchgate_from_components(X2, X2)
-PARITY_PHASE = matchgate_from_components(-np.eye(2, dtype=complex), np.eye(2, dtype=complex))
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 ANGLE_EPS = 1e-12
@@ -153,21 +154,17 @@ def swap_step(exp: GadgetExpansion, upper_line, known_bit=None, guard_ids=None):
         exp.gate(upper_line, FSWAP)
 
 
-def fswap_ladder(from_line, to_line, known_bits=None, guard_ids=None,
-                 guard_record=None) -> GadgetExpansion:
+def fswap_ladder(from_line, to_line, known_bits=None, guard_ids=None) -> GadgetExpansion:
     """Move one line's content across the register by adjacent fermionic
     swaps.
 
-    ``guard_ids`` (or the single-record shorthand ``guard_record``) gives the
-    measurement records whose parity is the moved line's bit, selecting the
-    G(Z,X)/G(-Z,X) variant at run time; ``known_bits`` maps crossed lines to
-    compile-time-known bits for the static variant.  Unknown crossings use
-    the plain fSWAP.
+    ``guard_ids`` gives the measurement records whose parity is the moved
+    line's bit, selecting the G(Z,X)/G(-Z,X) variant at run time;
+    ``known_bits`` maps crossed lines to compile-time-known bits for the
+    static variant.  Unknown crossings use the plain fSWAP.
     """
     exp = GadgetExpansion()
     known_bits = known_bits or {}
-    if guard_record is not None:
-        guard_ids = frozenset({guard_record})
     if from_line == to_line:
         return exp
     step = 1 if to_line > from_line else -1
@@ -380,7 +377,7 @@ def _try_matchgate(u, tol=1e-10):
     b = np.array([[u[1, 1], u[1, 2]], [u[2, 1], u[2, 2]]])
     try:
         return matchgate_from_components(a, b)
-    except Exception:
+    except (NotUnitary, DeterminantMismatch):
         return None
 
 
@@ -595,7 +592,7 @@ def toffoli_gadget(c1, ancilla, ids: IdGen) -> GadgetExpansion:
     exp.gate(c2, FSWAP, Guard(frozenset({m1}), 0))
     exp.gate(t, XX_PAIR, Guard(frozenset({r}), 1))
     # return the ancilla (holding the AND bit) to its line
-    exp.extend(fswap_ladder(t, ancilla, guard_record=r))
+    exp.extend(fswap_ladder(t, ancilla, guard_ids={r}))
     return exp
 
 
@@ -822,9 +819,6 @@ def compile_input(spec: InputSpec, taken_ids=()):
             u = H2
         else:
             continue
-        if s == base:
-            exp.extend(single_qubit_unitary(base, u, master))
-            continue
         exp.extend(single_qubit_unitary(base, u, master))
         exp.extend(fswap_ladder(base, s, known_bits=known))
         exp.extend(fswap_ladder(s + 1, base))
@@ -916,15 +910,11 @@ def _expand_once(circuit, report):
             program.append(ins)
             continue
         exp = _expand_macro(ins, n, ids)
-        if exp.new_blocks:
-            blocks.extend(exp.new_blocks)
-            entry = report.setdefault(ins.name, GadgetCost())
-            entry.ancilla_lines += sum(b.n for b in exp.new_blocks)
-            n += sum(b.n for b in exp.new_blocks)
+        blocks.extend(exp.new_blocks)
+        n += sum(b.n for b in exp.new_blocks)
         program.extend(exp.instructions)
         entry = report.setdefault(ins.name, GadgetCost())
-        entry.gates += exp.cost.gates
-        entry.measurements += exp.cost.measurements
+        entry += exp.cost
     return Circuit(n, InputSpec(tuple(blocks)), tuple(program))
 
 
@@ -948,6 +938,7 @@ def _expand_macro(ins: Macro, n, ids) -> GadgetExpansion:
         exp = GadgetExpansion()
         inner = toffoli_gadget(ins.param("line") - 1, n, ids)
         exp.new_blocks.append(BitsBlock("0"))
+        exp.cost.ancilla_lines += 1
         exp.extend(inner)
         return exp
     if name == "plus_state":

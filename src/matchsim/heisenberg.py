@@ -15,7 +15,6 @@ from .errors import (
     BackendInapplicable,
     BudgetExceeded,
     ImaginaryResidual,
-    ZeroProbabilityPrefix,
 )
 from .majorana import (
     apply_majorana_sum,
@@ -30,7 +29,7 @@ from .pfaffian import (
     ChainRuleSampler,
     EvalStats,
     check_computational_program,
-    measurement_slots,
+    measurement_rows,
 )
 
 IMAG_TOL = 1e-10
@@ -111,23 +110,22 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
         raise BackendInapplicable(
             "heisenberg", f"{k_assigned} adaptive measurements exceed cap {max_adaptive}"
         )
-    slots = measurement_slots(circuit, outcomes, backend="heisenberg")
+    rows = measurement_rows(circuit, outcomes, backend="heisenberg")
     n = circuit.n
-    count = (2 * n) ** len(slots)
+    count = (2 * n) ** len(rows)
     stats.term_count += count
     if method == "auto":
         method = "terms" if count <= term_budget else "grouped"
     if method == "terms":
         if count > term_budget:
             raise BudgetExceeded(count, term_budget)
-        value = _eval_terms(slots, circuit.input, n, max_block, stats)
+        value = _eval_terms(rows, circuit.input, n, max_block)
     elif method == "grouped":
         if circuit.n > GROUPED_N_CAP:
             raise BudgetExceeded(count, term_budget)
-        value = _eval_grouped(slots, circuit.input, n)
+        value = _eval_grouped(rows, circuit.input, n)
     else:
         raise ValueError(f"unknown method {method!r}")
-    stats.method = f"heisenberg-{method}"
     if abs(value.imag) > NEG_CLAMP:
         raise ImaginaryResidual(f"probability has imaginary part {value.imag:.3e}")
     p = value.real
@@ -138,13 +136,13 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
     return p
 
 
-def _eval_terms(slots, spec, n, max_block, stats):
+def _eval_terms(rows, spec, n, max_block):
     """Literal evaluation: every summand is a coefficient product times an
     expectation value that factorizes into local operators per input block."""
-    if not slots:
+    if not len(rows):
         return 1.0 + 0.0j
     strings = [majorana_pauli(mu, n) for mu in range(1, 2 * n + 1)]
-    vectors = [s.vector for s in slots]
+    vectors = list(rows)
     cache = {}
     total = 0.0 + 0.0j
 
@@ -154,32 +152,29 @@ def _eval_terms(slots, spec, n, max_block, stats):
             cache[key] = expectation_pauli(ps, spec, max_block)
         return cache[key]
 
-    dims = [2 * n] * len(slots)
-    for idx in np.ndindex(*dims):
+    for idx in np.ndindex(*([2 * n] * len(rows))):
         coeff = 1.0 + 0.0j
         for v, mu in zip(vectors, idx):
             coeff *= v[mu]
             if coeff == 0:
                 break
         if coeff == 0:
-            stats.evaluated_terms += 1
             continue
         op = strings[idx[0]]
         for mu in idx[1:]:
             op = pauli_product(op, strings[mu])
         total += coeff * expect(op)
-        stats.evaluated_terms += 1
     return total
 
 
-def _eval_grouped(slots, spec, n):
-    """Distribute the summation indices: apply each slot's Majorana-sum
+def _eval_grouped(rows, spec, n):
+    """Distribute the summation indices: apply each row's Majorana-sum
     operator in turn to the dense input vector and close with the bra."""
     psi = spec.state()
     table = majorana_action_table(n)
     phi = psi
-    for s in reversed(slots):
-        phi = apply_majorana_sum(s.vector, table, phi)
+    for v in rows[::-1]:
+        phi = apply_majorana_sum(v, table, phi)
     return complex(np.vdot(psi, phi))
 
 

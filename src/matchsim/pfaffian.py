@@ -26,7 +26,6 @@ from .circuit import (
 from .errors import (
     BackendInapplicable,
     BlockTooLarge,
-    InconsistentSlots,
     NotSkew,
     ZeroProbabilityPrefix,
 )
@@ -35,7 +34,7 @@ from .majorana import h_matrix, segment_rotation, t_from_r
 SKEW_TOL = 1e-10
 NEG_CLAMP = 1e-9
 ZERO_PREFIX = 1e-12
-DEFAULT_ZONE_CAP = 14
+ZONE_CAP = 14
 
 
 def pfaffian(m, check=True) -> complex:
@@ -98,71 +97,44 @@ def pfaffian_brute(m) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Contraction slots
+# Contraction rows
 # ---------------------------------------------------------------------------
-
-# slot kinds, in the only order they may appear left to right:
-#   q  : bra-side input 1-positions (cross terms)
-#   a/b: ket-side adaptive pair (plain / conjugated T row)
-#   d/e: final measurement pair (plain / conjugated T row)
-#   f/g: bra-side adaptive pair
-#   p  : ket-side input 1-positions
-_STAGE = {"q": 0, "a": 1, "b": 1, "d": 2, "e": 2, "f": 3, "g": 3, "p": 4}
-
-
-@dataclass(frozen=True, eq=False)
-class ContractionSlot:
-    """One Majorana factor of the joint-probability expression.
-
-    ``vector`` holds its expansion coefficients over the 2n Majorana
-    operators: a (possibly conjugated) T-matrix row for measurement factors,
-    a standard basis vector for input-string factors.
-    """
-
-    kind: str
-    vector: np.ndarray
-    owner: int = -1  # measured line or input position (0-based)
-    segment: int = -1  # which cumulative T matrix, 1-based; -1 for p/q
+#
+# Each Majorana factor of the joint-probability expression is one row of
+# expansion coefficients over the 2n Majorana operators: a (possibly
+# conjugated) T-matrix row for a measurement factor, a standard basis vector
+# for an input-string factor.  Left to right the rows are: bra-side input
+# 1-positions, ket-side adaptive pairs, final measurement pairs, bra-side
+# adaptive pairs, ket-side input 1-positions.
 
 
-def build_o(slots, h) -> np.ndarray:
-    """Antisymmetric contraction matrix from an ordered slot list.
+def build_o(rows, h) -> np.ndarray:
+    """Antisymmetric contraction matrix from rows in operator order.
 
-    Entry (i, j), i < j, is the vacuum contraction of slots i and j:
+    Entry (i, j), i < j, is the vacuum contraction of rows i and j:
     v_i H v_j^T.  This reproduces every pattern of the single- and
     multi-measurement lookup tables (T H T^T, T H T^dag, (T H)_{.,2p-1},
     delta entries, and the zero q-q / p-p corners) uniformly.
     """
-    order = [_STAGE[s.kind] for s in slots]
-    if any(b < a for a, b in zip(order, order[1:])):
-        raise InconsistentSlots(f"slot kinds out of order: {[s.kind for s in slots]}")
-    if not slots:
-        return np.zeros((0, 0), dtype=complex)
-    v = np.array([s.vector for s in slots])
-    full = v @ h @ v.T
-    o = np.triu(full, 1)
+    o = np.triu(rows @ h @ rows.T, 1)
     return o - o.T
 
 
-def _measurement_pair(t_row, outcome, kinds, owner, segment):
-    """Slot pair for one projector, ordered by outcome.
+def _projector_rows(t_row, outcome):
+    """Row pair for one projector, ordered by outcome.
 
     Outcome 0 projects onto a a^dag (plain row first), outcome 1 onto
     a^dag a (conjugated row first).
     """
-    plain = ContractionSlot(kinds[0], t_row, owner, segment)
-    conj = ContractionSlot(kinds[1], t_row.conj(), owner, segment)
-    return [plain, conj] if outcome == 0 else [conj, plain]
+    return [t_row, t_row.conj()] if outcome == 0 else [t_row.conj(), t_row]
 
 
 @dataclass
 class EvalStats:
-    """Counters exposed for the cost-law assertions."""
+    """Cost-law counters and numerical-health flags of one evaluation run."""
 
     term_count: int = 0
-    evaluated_terms: int = 0
     evaluated_pairs: int = 0
-    method: str = ""
     flags: list = field(default_factory=list)
 
 
@@ -192,7 +164,7 @@ def resolve_outcomes(circuit: Circuit, outcomes: dict, backend: str):
     ``outcomes`` must cover a contiguous prefix of the intermediate
     measurements; final records may be included only when every intermediate
     is assigned.  Returns (intermediates list, assigned prefix length,
-    finals list, assigned finals in program order).
+    assigned finals in program order).
     """
     _, intermediates, finals = circuit.split_segments()
     inter_ids = [m.record_id for m in intermediates]
@@ -213,7 +185,7 @@ def resolve_outcomes(circuit: Circuit, outcomes: dict, backend: str):
         raise BackendInapplicable(
             backend, "final outcomes given while intermediates are unassigned"
         )
-    return intermediates, t, finals, assigned_finals
+    return intermediates, t, assigned_finals
 
 
 def cumulative_ts(circuit: Circuit, outcomes: dict, upto: int, with_final: bool):
@@ -230,26 +202,24 @@ def cumulative_ts(circuit: Circuit, outcomes: dict, upto: int, with_final: bool)
     return ts
 
 
-def measurement_slots(circuit, outcomes, backend="pfaffian"):
-    """Middle (measurement) slots of the joint-probability expression, in
-    operator order, for an assignment covering a y-prefix and a finals
-    subset.  Returns (slots, stats_term_base) where the nominal summand count
-    of the displayed sum is (2n)^len(slots)."""
-    intermediates, t, finals, assigned_finals = resolve_outcomes(circuit, outcomes, backend)
-    with_final = bool(assigned_finals)
-    ts = cumulative_ts(circuit, outcomes, t, with_final)
-    ket = []
+def measurement_rows(circuit, outcomes, backend="pfaffian") -> np.ndarray:
+    """Measurement rows of the joint-probability expression as one complex
+    (m, 2n) array in operator order (ket-side adaptive pairs, final pairs,
+    bra-side adaptive pairs), for an assignment covering a y-prefix and a
+    finals subset.  The nominal summand count of the displayed sum is
+    (2n)^m."""
+    intermediates, t, assigned_finals = resolve_outcomes(circuit, outcomes, backend)
+    ts = cumulative_ts(circuit, outcomes, t, bool(assigned_finals))
+    rows = []
     for s in range(t):
         m = intermediates[s]
-        ket += _measurement_pair(ts[s][m.line], outcomes[m.record_id], ("a", "b"), m.line, s + 1)
-    mid = []
+        rows += _projector_rows(ts[s][m.line], outcomes[m.record_id])
     for m in assigned_finals:
-        mid += _measurement_pair(ts[-1][m.line], outcomes[m.record_id], ("d", "e"), m.line, len(ts))
-    bra = []
+        rows += _projector_rows(ts[-1][m.line], outcomes[m.record_id])
     for s in reversed(range(t)):
         m = intermediates[s]
-        bra += _measurement_pair(ts[s][m.line], outcomes[m.record_id], ("f", "g"), m.line, s + 1)
-    return ket + mid + bra
+        rows += _projector_rows(ts[s][m.line], outcomes[m.record_id])
+    return np.array(rows, dtype=complex).reshape(-1, 2 * circuit.n)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +234,10 @@ class CanonicalInput:
     amplitude is 1."""
 
     bits: str
-    zone_start: int
     zone_amps: np.ndarray
 
-    @property
-    def zone_width(self):
-        return int(np.log2(len(self.zone_amps)))
 
-
-def split_canonical_input(circuit: Circuit, backend="pfaffian", zone_cap=DEFAULT_ZONE_CAP):
+def split_canonical_input(circuit: Circuit):
     """Decompose the input into leading bits and a trailing zone.
 
     Accepts Bits blocks first, then any run of product/entangled/magic blocks
@@ -288,31 +253,26 @@ def split_canonical_input(circuit: Circuit, backend="pfaffian", zone_cap=DEFAULT
             zone = np.kron(zone, block.state())
         else:
             raise BackendInapplicable(
-                backend, "input is not in canonical bits + trailing-zone form; "
-                         "compile it first"
+                "pfaffian", "input is not in canonical bits + trailing-zone form; "
+                            "compile it first"
             )
     bits = "".join(bits)
     width = circuit.n - len(bits)
-    if width > zone_cap:
+    if width > ZONE_CAP:
         raise BlockTooLarge(
-            f"superposition zone of width {width} exceeds cap {zone_cap}"
+            f"superposition zone of width {width} exceeds cap {ZONE_CAP}"
         )
-    return CanonicalInput(bits, len(bits), zone)
+    return CanonicalInput(bits, zone)
 
 
-def _one_positions(bits):
-    return [i for i, b in enumerate(bits) if b == "1"]
-
-
-def _input_slots(lines, n, kind):
-    """p or q slots for input 1-positions; bra side is ordered descending."""
-    vecs = []
-    order = sorted(lines, reverse=(kind == "q"))
-    for l in order:
-        v = np.zeros(2 * n, dtype=complex)
-        v[2 * l] = 1.0  # X-type Majorana index of line l
-        vecs.append(ContractionSlot(kind, v, l))
-    return vecs
+def _input_rows(lines, n, descending=False):
+    """Rows for input 1-positions, ascending on the ket side and descending
+    on the bra side."""
+    order = sorted(lines, reverse=descending)
+    rows = np.zeros((len(order), 2 * n), dtype=complex)
+    for i, l in enumerate(order):
+        rows[i, 2 * l] = 1.0  # X-type Majorana index of line l
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +292,7 @@ def _clamp_probability(value, flags) -> float:
 
 
 def joint_prob_entangled(circuit: Circuit, outcomes: dict,
-                         stats: EvalStats | None = None,
-                         zone_cap=DEFAULT_ZONE_CAP) -> float:
+                         stats: EvalStats | None = None) -> float:
     """Joint probability of an outcome assignment for bits + one trailing
     superposition zone.
 
@@ -346,30 +305,30 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
     input is the width-0 zone: one pair, one Pfaffian.
     """
     check_computational_program(circuit, "pfaffian")
-    canon = split_canonical_input(circuit, "pfaffian", zone_cap)
+    canon = split_canonical_input(circuit)
     stats = stats if stats is not None else EvalStats()
-    mids = measurement_slots(circuit, outcomes)
+    mids = measurement_rows(circuit, outcomes)
     n = circuit.n
     stats.term_count += (2 * n) ** len(mids)
-    stats.method = "pfaffian"
     h = h_matrix(n)
-    base = _one_positions(canon.bits)
     amps = canon.zone_amps
-    width = canon.zone_width
+    width = int(np.log2(len(amps)))
     support = [w for w in range(len(amps)) if amps[w] != 0]
     parity = {w: bin(w).count("1") & 1 for w in support}
+    # input 1-positions of each zone component: the leading bits, then the
+    # zone lines set in w
+    base = [i for i, b in enumerate(canon.bits) if b == "1"]
+    start = len(canon.bits)
+    ones = {w: base + [start + i for i in range(width) if (w >> (width - 1 - i)) & 1]
+            for w in support}
     value = 0.0 + 0.0j
     for w in support:
-        ket_ones = base + [canon.zone_start + i
-                           for i in range(width) if (w >> (width - 1 - i)) & 1]
-        p_slots = _input_slots(ket_ones, n, "p")
+        p_rows = _input_rows(ones[w], n)
         for wp in support:
             if parity[w] != parity[wp]:
                 continue
-            bra_ones = base + [canon.zone_start + i
-                               for i in range(width) if (wp >> (width - 1 - i)) & 1]
-            slots = _input_slots(bra_ones, n, "q") + mids + p_slots
-            value += amps[w] * np.conj(amps[wp]) * pfaffian(build_o(slots, h), check=False)
+            rows = np.vstack([_input_rows(ones[wp], n, descending=True), mids, p_rows])
+            value += amps[w] * np.conj(amps[wp]) * pfaffian(build_o(rows, h), check=False)
             stats.evaluated_pairs += 1
     return _clamp_probability(value, stats.flags)
 
@@ -405,10 +364,8 @@ class ChainRuleSampler:
     cached per prefix so repeated shots do not recompute Pfaffians.
     """
 
-    def __init__(self, circuit: Circuit, prob_fn=None, zero_eps=ZERO_PREFIX):
-        self.circuit = circuit
+    def __init__(self, circuit: Circuit, prob_fn=None):
         self.prob_fn = prob_fn or (lambda oc: joint_prob_entangled(circuit, oc))
-        self.zero_eps = zero_eps
         self.cache = {}
         ms = circuit.measurements()
         self.order = [m.record_id for m in ms if m.role == "intermediate"]
@@ -423,36 +380,24 @@ class ChainRuleSampler:
             self.cache[key] = (p0, p1)
         return self.cache[key]
 
-    def sample(self, rng) -> OutcomeRecord:
+    def sample(self, uniforms) -> OutcomeRecord:
+        """One shot; step k draws its outcome against ``uniforms[k]``."""
         assign = {}
         assignments = []
         denom = 1.0
         for step, rid in enumerate(self.order):
-            if denom < self.zero_eps:
+            if denom < ZERO_PREFIX:
                 raise ZeroProbabilityPrefix(
-                    f"prefix probability {denom:.3e} below {self.zero_eps:.0e}"
+                    f"prefix probability {denom:.3e} below {ZERO_PREFIX:.0e}"
                 )
             p0, p1 = self._conditionals(tuple(b for _, b, _ in assignments), assign, denom)
             cond0 = min(max(p0 / denom, 0.0), 1.0)
-            bit = 0 if rng.random() < cond0 else 1
+            bit = 0 if uniforms[step] < cond0 else 1
             denom = (p0, p1)[bit]
             cond = (cond0, 1.0 - cond0)[bit]
             assign[rid] = bit
             assignments.append((rid, bit, cond))
         return OutcomeRecord(tuple(assignments))
-
-
-class _RowRng:
-    """Uniform draws served from a precomputed row."""
-
-    def __init__(self, row):
-        self.row = row
-        self.i = 0
-
-    def random(self):
-        v = self.row[self.i]
-        self.i += 1
-        return v
 
 
 def sample_many(circuit: Circuit, shots: int, seed: int,
@@ -468,4 +413,4 @@ def sample_many(circuit: Circuit, shots: int, seed: int,
     rows = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(
         (shots, max(1, len(sampler.order)))
     )
-    return [sampler.sample(_RowRng(rows[i])) for i in range(shots)]
+    return [sampler.sample(row) for row in rows]

@@ -35,10 +35,35 @@ def _c2pair(z):
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _convert(value, convert, what):
+    """``convert(value)``; a value of the wrong type or form is a syntax
+    error, not a crash."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CircuitSyntaxError(f"{what}: bad value {value!r}") from exc
+
+
+def _field(obj, key, convert, what):
+    """``convert(obj[key])``; a missing or unconvertible field is a syntax
+    error, not a crash."""
+    if key not in obj:
+        raise CircuitSyntaxError(f"{what}: missing field {key!r}")
+    return _convert(obj[key], convert, f"{what}: field {key!r}")
+
+
+def _list(obj, key, what):
+    """``obj[key]`` (default empty), which must be a JSON array."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise CircuitSyntaxError(f"{what}: {key!r} must be an array, got {value!r}")
+    return value
+
+
 def _pair2c(p, what):
     if not (isinstance(p, list) and len(p) == 2):
         raise CircuitSyntaxError(f"{what}: expected [re, im] pair, got {p!r}")
-    return complex(p[0], p[1])
+    return _convert(p, lambda re_im: complex(*re_im), what)
 
 
 def _matrix2json(m):
@@ -81,27 +106,20 @@ def _block_from_json(obj):
         return BitsBlock(str(obj.get("value", "")))
     if kind == "product":
         states = []
-        for s in obj.get("states", []):
+        for s in _list(obj, "states", "product block"):
             if not (isinstance(s, list) and len(s) == 4):
                 raise CircuitSyntaxError("product state must be [re0, im0, re1, im1]")
-            states.append(np.array([complex(s[0], s[1]), complex(s[2], s[3])]))
+            states.append(np.array([_pair2c(s[:2], "product state"),
+                                    _pair2c(s[2:], "product state")]))
         return ProductBlock(tuple(states))
     if kind == "entangled":
-        k = int(obj.get("k", 0))
-        amps = np.array([_pair2c(p, "entangled amps") for p in obj.get("amps", [])])
+        k = _convert(obj.get("k", 0), int, "entangled block: field 'k'")
+        amps = np.array([_pair2c(p, "entangled amps")
+                         for p in _list(obj, "amps", "entangled block")])
         return EntangledBlock(k, amps)
     if kind == "magic":
         return MagicBlock()
     raise CircuitSyntaxError(f"unknown input block kind {kind!r}")
-
-
-def _field(obj, key, convert, what):
-    """``convert(obj[key])``; a missing or unconvertible field is a syntax
-    error, not a crash."""
-    try:
-        return convert(obj[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitSyntaxError(f"{what}: missing or bad field {key!r}") from exc
 
 
 def _guard_to_json(guard):
@@ -111,7 +129,8 @@ def _guard_to_json(guard):
 def _guard_from_json(obj):
     if not isinstance(obj, dict):
         raise CircuitSyntaxError("guard must be an object")
-    return Guard(frozenset(str(i) for i in obj.get("ids", [])), int(obj.get("parity", 0)))
+    return Guard(frozenset(str(i) for i in _list(obj, "ids", "guard")),
+                 _convert(obj.get("parity", 0), int, "guard: field 'parity'"))
 
 
 def _basis_to_json(basis):
@@ -129,7 +148,8 @@ def _basis_from_json(obj):
     if kind == "computational":
         return Computational()
     if kind == "tilted":
-        return Tilted(_field(obj, "x", float, "tilted basis"), float(obj.get("phase", 0.0)))
+        return Tilted(_field(obj, "x", float, "tilted basis"),
+                      _convert(obj.get("phase", 0.0), float, "tilted basis: field 'phase'"))
     raise CircuitSyntaxError(f"unknown basis kind {kind!r}")
 
 
@@ -171,11 +191,14 @@ def _instruction_from_json(obj, idx):
             vals = obj["angles"]
             if not (isinstance(vals, list) and len(vals) == 6):
                 raise CircuitSyntaxError(f"program[{idx}]: angles must have 6 entries")
-            ang = MatchgateAngles(*[float(v) for v in vals])
+            ang = MatchgateAngles(*[_convert(v, float, f"{where}.angles") for v in vals])
             return Gate(line, matchgate_from_angles(ang), guard, ang)
         if "matrix" in obj:
-            a = _json2matrix(obj["matrix"].get("a"), (2, 2), f"program[{idx}].matrix.a")
-            b = _json2matrix(obj["matrix"].get("b"), (2, 2), f"program[{idx}].matrix.b")
+            m = obj["matrix"]
+            if not isinstance(m, dict):
+                raise CircuitSyntaxError(f"{where}: matrix must be an object with 'a' and 'b'")
+            a = _json2matrix(m.get("a"), (2, 2), f"{where}.matrix.a")
+            b = _json2matrix(m.get("b"), (2, 2), f"{where}.matrix.b")
             return Gate(line, matchgate_from_components(a, b), guard, None)
         raise CircuitSyntaxError(f"program[{idx}]: gate needs 'angles' or 'matrix'")
     if op == "measure":
@@ -215,12 +238,10 @@ def parse_circuit(text) -> Circuit:
         raise CircuitSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict):
         raise CircuitSyntaxError("top level must be a JSON object")
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitSyntaxError("missing or bad integer field 'n'") from exc
-    blocks = [_block_from_json(b) for b in doc.get("input", [])]
-    program = [_instruction_from_json(o, i) for i, o in enumerate(doc.get("program", []))]
+    n = _field(doc, "n", int, "circuit")
+    blocks = [_block_from_json(b) for b in _list(doc, "input", "circuit")]
+    program = [_instruction_from_json(o, i)
+               for i, o in enumerate(_list(doc, "program", "circuit"))]
     circuit = Circuit(n, InputSpec(tuple(blocks)), tuple(program))
     circuit.validate()
     return circuit

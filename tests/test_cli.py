@@ -178,6 +178,8 @@ def test_gadget_expand_nested_macros(tmp_path, capsys):
     assert not expanded.has_macros()
     ops = [i.op for i in expanded.program]
     assert "gate" in ops and "measure" in ops
+    # one |+> auxiliary line per pair plus the closing one
+    assert "# prepare_two_qubit_inputs.ancilla_lines=2" in out
 
 
 def test_xcheck_random_deterministic_bytes(capsys):
@@ -228,3 +230,98 @@ def test_malformed_instruction_exit_code(tmp_path, capsys, instruction):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     assert main(["prob", str(path), "-p", "0"]) == 2
+
+
+def _final_doc(n, blocks, finals):
+    return {"n": n, "input": blocks,
+            "program": [{"op": "measure", "line": l, "id": f"x{l}", "role": "final",
+                         "basis": {"kind": "computational"}} for l in finals]}
+
+
+def _wide_zone(width):
+    amps = [[0.0, 0.0]] * 2 ** width
+    amps[0] = [1.0, 0.0]
+    return [{"kind": "entangled", "k": width, "amps": amps}]
+
+
+@pytest.mark.parametrize("doc, argv", [
+    # BudgetExceeded: n=17 is beyond the grouped Heisenberg evaluation
+    (_final_doc(17, [{"kind": "bits", "value": "0" * 17}], [1, 2, 3]),
+     ["-p", "0*1", "--backend", "heisenberg"]),
+    # CapExceeded: the dense oracle stops at n=14
+    (_final_doc(16, [{"kind": "bits", "value": "0" * 16}], [1]), ["-p", "0", "--backend", "oracle"]),
+    # BlockTooLarge: a width-15 zone on the Pfaffian backend
+    (_final_doc(15, _wide_zone(15), [1]), ["-p", "0", "--backend", "pfaffian"]),
+])
+def test_capacity_errors_exit_inapplicable(tmp_path, capsys, doc, argv):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "prob", str(path), *argv)
+    assert code == 3
+    assert out == ""
+
+
+_BITS2 = [{"kind": "bits", "value": "00"}]
+_MEASURE2 = {"op": "measure", "line": 2, "id": "y", "role": "final",
+             "basis": {"kind": "computational"}}
+
+
+def _gate(**fields):
+    return {"n": 2, "input": _BITS2,
+            "program": [{"op": "gate", "line": 1, **fields}, _MEASURE2]}
+
+
+def _input(*blocks):
+    return {"n": 2, "input": list(blocks), "program": [_MEASURE2]}
+
+
+@pytest.mark.parametrize("doc", [
+    _gate(angles=[0] * 6, guard={"ids": 3, "parity": 0}),
+    _gate(angles=[0] * 6, guard={"ids": [], "parity": "a"}),
+    _gate(angles=["a", 0, 0, 0, 0, 0]),
+    _gate(matrix=3),
+    _input({"kind": "bits", "value": "0"}, {"kind": "entangled", "k": "x", "amps": []}),
+    _input({"kind": "product", "states": [["a", 0, 1, 0], [1, 0, 0, 0]]}),
+    _input({"kind": "product", "states": 5}),
+    {"n": 2, "input": 5, "program": [_MEASURE2]},
+    {"n": 2, "input": _BITS2, "program": 5},
+    {"n": float("inf"), "input": _BITS2, "program": [_MEASURE2]},
+])
+def test_malformed_document_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "prob", str(path), "-p", "0")
+    assert code == 2
+    assert out == ""
+
+
+def test_negative_probability_flag_reaches_report(capsys, fswap_file, monkeypatch):
+    import matchsim.pfaffian
+
+    monkeypatch.setattr(matchsim.pfaffian, "pfaffian", lambda m, check=True: -0.5)
+    code, out = run_cli(capsys, "prob", fswap_file, "-p", "01", "--backend", "pfaffian")
+    assert code == 0
+    assert "negative probability" in out
+    code, out = run_cli(capsys, "prob", fswap_file, "-p", "01", "--backend", "pfaffian",
+                        "--json")
+    assert any("negative probability" in f for f in json.loads(out)["flags"])
+    code, out = run_cli(capsys, "xcheck", fswap_file)
+    assert "negative probability" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob", "F", "-p", "0", "--seed", "4"],
+    ["prob", "F", "-p", "0", "--tol", "9"],
+    ["sample", "F", "--tol", "9"],
+    ["xcheck", "F", "--backend", "oracle"],
+    ["xcheck", "F", "--seed", "4"],
+    ["xcheck", "F", "--max-block", "4"],
+    ["gadget", "expand", "F", "--backend", "oracle"],
+    ["gadget", "expand", "F", "--seed", "4", "--tol", "9"],
+    ["gadget", "expand", "F", "--max-adaptive", "2"],
+    ["gadget", "expand", "F", "--max-block", "4"],
+])
+def test_unread_flag_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -15,15 +15,16 @@ from matchsim.circuit import (
     ProductBlock,
     bits_input,
 )
-from matchsim.errors import BlockTooLarge, InconsistentSlots, NotSkew, ZeroProbabilityPrefix
+from matchsim.errors import BlockTooLarge, NotSkew, ZeroProbabilityPrefix
 from matchsim.majorana import h_matrix
 from matchsim.oracle import random_mg_circuit, run_exact
 from matchsim.pfaffian import (
     ChainRuleSampler,
-    ContractionSlot,
     EvalStats,
+    _input_rows,
     build_o,
     joint_prob_entangled,
+    measurement_rows,
     pfaffian,
     pfaffian_brute,
     sample_many,
@@ -94,26 +95,13 @@ def test_pfaffian_singular_matrix():
 # -- contraction matrix --------------------------------------------------------
 
 
-def test_build_o_slot_order_enforced():
-    n = 2
-    v = np.zeros(2 * n, dtype=complex)
-    v[0] = 1.0
-    slots = [ContractionSlot("p", v), ContractionSlot("d", v)]
-    with pytest.raises(InconsistentSlots):
-        build_o(slots, h_matrix(n))
-
-
 def test_build_o_qq_and_pp_corners_vanish():
     # distinct input 1-positions contract to zero among themselves
     n = 3
     h = h_matrix(n)
-    for kind in ("q", "p"):
-        vs = []
-        for l in (0, 2):
-            v = np.zeros(2 * n, dtype=complex)
-            v[2 * l] = 1.0
-            vs.append(ContractionSlot(kind, v, l))
-        o = build_o(vs, h)
+    for descending in (True, False):
+        o = build_o(_input_rows([0, 2], n, descending), h)
+        assert o.shape == (2, 2)
         assert np.allclose(o, 0)
 
 
@@ -277,22 +265,15 @@ def test_zero_probability_prefix_error():
                                      Measure(0, "x", "final"))).validate()
     sampler = ChainRuleSampler(c, prob_fn=lambda oc: 0.0)
 
-    class AnyRng:
-        def random(self):
-            return 0.5
-
     with pytest.raises(ZeroProbabilityPrefix):
-        sampler.sample(AnyRng())
+        sampler.sample([0.5, 0.5])
 
 
 def test_pf_squared_equals_det_on_built_matrices():
-    from matchsim.majorana import h_matrix
-    from matchsim.pfaffian import _input_slots, measurement_slots
-
     c = random_mg_circuit(4, 18, seed=14, n_intermediate=1, input_spec=bits_input("0110"))
     ones = [1, 2]
-    mids = measurement_slots(c, {"m0": 1, "x0": 0, "x1": 1, "x2": 0, "x3": 1})
-    slots = _input_slots(ones, 4, "q") + mids + _input_slots(ones, 4, "p")
-    o = build_o(slots, h_matrix(4))
+    mids = measurement_rows(c, {"m0": 1, "x0": 0, "x1": 1, "x2": 0, "x3": 1})
+    rows = np.vstack([_input_rows(ones, 4, descending=True), mids, _input_rows(ones, 4)])
+    o = build_o(rows, h_matrix(4))
     pf = pfaffian(o)
     assert abs(pf ** 2 - np.linalg.det(o)) < 1e-8 * max(1.0, abs(np.linalg.det(o)))
