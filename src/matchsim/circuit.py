@@ -1,7 +1,8 @@
 """Matchgate circuit model: gates, adaptive programs, input specifications.
 
 Lines are 0-based everywhere in code; the file format (see ``serialize``)
-is 1-based and the parser is the only translation point.
+is 1-based, and the parser and ``Macro.line`` are the only translation
+points.
 """
 
 from __future__ import annotations
@@ -224,6 +225,15 @@ class Macro:
             if k == key:
                 return v
         return default
+
+    def line(self, key, n, value=None):
+        """Parameter ``key`` (or ``value``, an element of it) as a 0-based
+        line; the file gives it 1-based, as an integer in 1..n."""
+        value = self.param(key) if value is None else value
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= n:
+            raise ValidationError(
+                "macro", f"{self.name}: {key!r} must be a line in 1..{n}, got {value!r}")
+        return value - 1
 
 
 # ---------------------------------------------------------------------------

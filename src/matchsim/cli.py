@@ -246,6 +246,8 @@ def cmd_xcheck(args) -> tuple[int, RunReport]:
         circuits.append(("file", _read_circuit(args.circuit)))
     else:
         n, depth, count, seed = args.random
+        if n < 2 or count < 1:
+            raise ValidationError("xcheck-random", f"need N >= 2 and COUNT >= 1, got {n}, {count}")
         inter = min(3, args.max_adaptive)
         for i in range(count):
             circuits.append(
@@ -281,6 +283,22 @@ def cmd_gadget_expand(args) -> tuple[int, RunReport]:
     return EXIT_OK, report
 
 
+def natural(text):
+    """argparse type of counts, sizes and seeds: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def tolerance(text):
+    """argparse type of --tol: a float, not nan."""
+    value = float(text)
+    if np.isnan(value):
+        raise argparse.ArgumentTypeError("must be a number, got nan")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="matchsim",
                                  description="Classical simulation of nearest-neighbour "
@@ -290,10 +308,10 @@ def build_parser():
     options = {
         "--backend": dict(choices=["auto", "heisenberg", "pfaffian", "oracle"],
                           default="auto"),
-        "--seed": dict(type=int, default=0),
-        "--tol": dict(type=float, default=DEFAULT_TOL),
-        "--max-adaptive": dict(type=int, default=3),
-        "--max-block": dict(type=int, default=12),
+        "--seed": dict(type=natural, default=0),
+        "--tol": dict(type=tolerance, default=DEFAULT_TOL),
+        "--max-adaptive": dict(type=natural, default=3),
+        "--max-block": dict(type=natural, default=12),
     }
 
     def common(p, *names):
@@ -311,13 +329,13 @@ def build_parser():
 
     p = sub.add_parser("sample", help="weak simulation: sample outcome records")
     p.add_argument("circuit")
-    p.add_argument("--shots", type=int, default=1)
+    p.add_argument("--shots", type=natural, default=1)
     common(p, "--backend", "--seed", "--max-adaptive", "--max-block")
 
     p = sub.add_parser("xcheck", help="differential check of all backends vs the oracle")
     p.add_argument("circuit", nargs="?", default=None)
-    p.add_argument("--random", nargs=4, type=int, metavar=("N", "DEPTH", "COUNT", "SEED"),
-                   help="check COUNT random circuits instead of a file")
+    p.add_argument("--random", nargs=4, type=natural, metavar=("N", "DEPTH", "COUNT", "SEED"),
+                   help="check COUNT >= 1 random circuits of N >= 2 lines instead of a file")
     common(p, "--tol", "--max-adaptive")
 
     p = sub.add_parser("gadget", help="gadget utilities")

@@ -30,6 +30,7 @@ from .circuit import (
     Measure,
     ProductBlock,
     Tilted,
+    gates_equal_up_to_phase,
     matchgate_from_angles,
     matchgate_from_components,
 )
@@ -42,6 +43,7 @@ from .errors import (
     UnsupportedLayout,
     ValidationError,
 )
+from .serialize import json2matrix, matrix2json
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 XHX = X2 @ H2 @ X2
@@ -51,6 +53,10 @@ XX_PAIR = matchgate_from_components(X2, X2)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 ANGLE_EPS = 1e-12
+# residual tolerances of the unitary decompositions
+DECOMP_TOL = 1e-10  # unitarity, Euler angles, canonical reconstruction
+FORM_TOL = 1e-9  # the P H P form and the tensor-product split
+DEGENERACY_TOL = 1e-8  # equal eigenvalues in the simultaneous diagonalization
 
 
 @dataclass
@@ -71,26 +77,23 @@ class GadgetCost:
 @dataclass
 class GadgetExpansion:
     """Instructions to splice in, ancilla blocks to append to the input, and
-    bookkeeping of introduced records and resources."""
+    the resources they cost."""
 
     instructions: list = field(default_factory=list)
     new_blocks: list = field(default_factory=list)
-    records: list = field(default_factory=list)
     cost: GadgetCost = field(default_factory=GadgetCost)
 
-    def gate(self, line, mg, guard=None, angles=None):
-        self.instructions.append(Gate(line, mg, guard, angles))
+    def gate(self, line, mg, guard=None):
+        self.instructions.append(Gate(line, mg, guard))
         self.cost.gates += 1
 
-    def measure(self, line, rid, role="intermediate", basis=None):
-        self.instructions.append(Measure(line, rid, role, basis or Computational()))
-        self.records.append(rid)
+    def measure(self, line, rid, basis=None):
+        self.instructions.append(Measure(line, rid, "intermediate", basis or Computational()))
         self.cost.measurements += 1
 
     def extend(self, other: "GadgetExpansion"):
         self.instructions.extend(other.instructions)
         self.new_blocks.extend(other.new_blocks)
-        self.records.extend(other.records)
         self.cost += other.cost
 
 
@@ -128,7 +131,7 @@ def phase_gate_on(exp: GadgetExpansion, line, phi, pair_line):
     elif line == pair_line + 1:
         exp.gate(pair_line, matchgate_from_components(p, p.conj()))
     else:
-        raise ValueError("line not on the pair")
+        raise ValidationError("macro", "phase line not on the pair")
 
 
 def xx_yy_gate(a, b) -> Matchgate:
@@ -136,45 +139,40 @@ def xx_yy_gate(a, b) -> Matchgate:
     return matchgate_from_angles(MatchgateAngles(a, b, 0, 0, 0, 0))
 
 
-def swap_step(exp: GadgetExpansion, upper_line, known_bit=None, guard_ids=None):
-    """One adjacent swap, exact on the moved content.
-
-    * plain fSWAP when neither side needs a sign fix,
-    * static G(-Z, X) when a compile-time-known |1> line is crossed,
-    * a complementary guarded G(Z,X)/G(-Z,X) pair when the moved line's bit
-      is the parity of measurement records (``guard_ids``).
-    """
-    if guard_ids:
-        ids = frozenset(guard_ids)
-        exp.gate(upper_line, FSWAP, Guard(ids, 0))
-        exp.gate(upper_line, FSWAP_MINUS, Guard(ids, 1))
-    elif known_bit:
-        exp.gate(upper_line, FSWAP_MINUS)
-    else:
-        exp.gate(upper_line, FSWAP)
-
-
 def fswap_ladder(from_line, to_line, known_bits=None, guard_ids=None) -> GadgetExpansion:
     """Move one line's content across the register by adjacent fermionic
-    swaps.
+    swaps, each exact on the moved content.
 
     ``guard_ids`` gives the measurement records whose parity is the moved
-    line's bit, selecting the G(Z,X)/G(-Z,X) variant at run time;
-    ``known_bits`` maps crossed lines to compile-time-known bits for the
-    static variant.  Unknown crossings use the plain fSWAP.
+    line's bit, selecting a complementary guarded G(Z,X)/G(-Z,X) pair at run
+    time; ``known_bits`` maps crossed lines to compile-time-known bits, and
+    crossing a known |1> uses the static G(-Z,X).  Other crossings use the
+    plain fSWAP.
     """
     exp = GadgetExpansion()
     known_bits = known_bits or {}
-    if from_line == to_line:
-        return exp
+    guard_ids = frozenset(guard_ids or ())
     step = 1 if to_line > from_line else -1
-    pos = from_line
-    while pos != to_line:
-        upper = pos if step == 1 else pos - 1
-        crossed = pos + step
-        swap_step(exp, upper, known_bits.get(crossed, 0), guard_ids)
-        pos += step
+    for pos in range(from_line, to_line, step):
+        upper = min(pos, pos + step)
+        if guard_ids:
+            exp.gate(upper, FSWAP, Guard(guard_ids, 0))
+            exp.gate(upper, FSWAP_MINUS, Guard(guard_ids, 1))
+        elif known_bits.get(pos + step, 0):
+            exp.gate(upper, FSWAP_MINUS)
+        else:
+            exp.gate(upper, FSWAP)
     return exp
+
+
+def _measure_and_sink(exp: GadgetExpansion, lines, bottom, ids: IdGen, hint):
+    """Dispose of ``lines`` in turn: measure each into a fresh record, then
+    sink it to ``bottom``, ``bottom - 1``, ... with fSWAPs guarded by that
+    record."""
+    for k, line in enumerate(lines):
+        rec = ids.fresh(hint)
+        exp.measure(line, rec)
+        exp.extend(fswap_ladder(line, bottom - k, guard_ids={rec}))
 
 
 # ---------------------------------------------------------------------------
@@ -195,33 +193,33 @@ def hadamard_gadget(target, ancilla) -> GadgetExpansion:
     elif ancilla == target - 1:
         exp.gate(ancilla, matchgate_from_components(H2, XHX))
     else:
-        raise ValueError("ancilla must be adjacent to target")
+        raise ValidationError("macro", "ancilla must be adjacent to target")
     return exp
 
 
-def euler_phase_x_phase(u, tol=1e-10):
+def euler_phase_x_phase(u):
     """Decompose a 2x2 unitary as e^{i delta} e^{i a Z} e^{i theta X} e^{i c Z}.
 
     Returns (a, theta, c); the global phase is discarded.  Raises
     DecompositionFailure for non-unitary input.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol:
+    if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - np.eye(2))) > DECOMP_TOL:
         raise DecompositionFailure("input is not a 2x2 unitary")
     det = np.linalg.det(u)
     su = u / np.sqrt(det)
     w, z = su[0, 0], su[0, 1]
     theta = np.arctan2(abs(z), abs(w))
-    apc = np.angle(w) if abs(w) > tol else 0.0
-    amc = np.angle(z) - np.pi / 2 if abs(z) > tol else 0.0
+    apc = np.angle(w) if abs(w) > DECOMP_TOL else 0.0
+    amc = np.angle(z) - np.pi / 2 if abs(z) > DECOMP_TOL else 0.0
     a = (apc + amc) / 2
     c = (apc - amc) / 2
     return a, theta, c
 
 
-def _single_h_form(u, tol=1e-9):
+def _single_h_form(u):
     """Try u = e^{i gamma} P(phi1) H P(phi2); returns (phi1, phi2) or None."""
-    if np.max(np.abs(np.abs(u) - 1 / np.sqrt(2))) > tol:
+    if np.max(np.abs(np.abs(u) - 1 / np.sqrt(2))) > FORM_TOL:
         return None
     gamma = (np.angle(u[0, 1]) + np.angle(u[1, 0])) / 2
     phi1 = (np.angle(u[0, 0]) + np.angle(u[0, 1])) / 2 - gamma
@@ -229,9 +227,7 @@ def _single_h_form(u, tol=1e-9):
     p1 = np.diag([np.exp(1j * phi1), np.exp(-1j * phi1)])
     p2 = np.diag([np.exp(1j * phi2), np.exp(-1j * phi2)])
     recon = p1 @ H2 @ p2
-    from .circuit import gates_equal_up_to_phase
-
-    if gates_equal_up_to_phase(u, recon, tol):
+    if gates_equal_up_to_phase(u, recon, FORM_TOL):
         return phi1, phi2
     return None
 
@@ -243,6 +239,8 @@ def single_qubit_unitary(target, u, ancilla) -> GadgetExpansion:
     Diagonal unitaries cost one phase gate and no gadget uses; unitaries of
     the form P H P cost a single gadget use.
     """
+    if abs(target - ancilla) != 1:
+        raise ValidationError("macro", "ancilla must be adjacent to target")
     u = np.asarray(u, dtype=complex)
     exp = GadgetExpansion()
     pair = min(target, ancilla)
@@ -296,13 +294,13 @@ def _interaction_matrix(a, b, c):
     return v @ np.diag(np.exp(1j * w)) @ v.conj().T
 
 
-def _simdiag_symmetric(a, s, tol=1e-8):
+def _simdiag_symmetric(a, s):
     """Orthogonal P diagonalizing two commuting real symmetric matrices."""
     w, p = np.linalg.eigh(a)
     i = 0
     while i < len(w):
         j = i
-        while j < len(w) and abs(w[j] - w[i]) < tol:
+        while j < len(w) and abs(w[j] - w[i]) < DEGENERACY_TOL:
             j += 1
         if j - i > 1:
             block = p[:, i:j].T @ s @ p[:, i:j]
@@ -312,11 +310,11 @@ def _simdiag_symmetric(a, s, tol=1e-8):
     return p
 
 
-def _factor_kron(v, tol=1e-9):
+def _factor_kron(v):
     """Split a 4x4 kron product A (x) B into its 2x2 factors."""
     w = v.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     uu, ss, vh = np.linalg.svd(w)
-    if ss[1] > tol:
+    if ss[1] > FORM_TOL:
         raise DecompositionFailure("matrix is not a tensor product of locals")
     a = (uu[:, 0] * np.sqrt(ss[0])).reshape(2, 2)
     b = (vh[0, :] * np.sqrt(ss[0])).reshape(2, 2)
@@ -326,7 +324,7 @@ def _factor_kron(v, tol=1e-9):
     return a, b
 
 
-def canonical_two_qubit(u, tol=1e-10):
+def canonical_two_qubit(u):
     """Canonical (Cartan) form u = e^{i delta}(u1 x u2) exp(i(a XX + b YY + c ZZ))
     (u3 x u4); returns (u1, u2, u3, u4, (a, b, c)).
 
@@ -360,18 +358,16 @@ def canonical_two_qubit(u, tol=1e-10):
     u1, u2 = _factor_kron(left)
     u3, u4 = _factor_kron(right)
     recon = np.kron(u1, u2) @ _interaction_matrix(a, b, c) @ np.kron(u3, u4)
-    from .circuit import gates_equal_up_to_phase
-
-    if not gates_equal_up_to_phase(recon, u, tol):
+    if not gates_equal_up_to_phase(recon, u, DECOMP_TOL):
         raise DecompositionFailure("canonical reconstruction residual above tolerance")
     return u1, u2, u3, u4, (a, b, c)
 
 
-def _try_matchgate(u, tol=1e-10):
+def _try_matchgate(u):
     """Return u as a Matchgate if it already is one (up to nothing), else None."""
     u = np.asarray(u, dtype=complex)
     off = [u[0, 1], u[0, 2], u[1, 0], u[1, 3], u[2, 0], u[2, 3], u[3, 1], u[3, 2]]
-    if np.max(np.abs(off)) > tol:
+    if np.max(np.abs(off)) > DECOMP_TOL:
         return None
     a = np.array([[u[0, 0], u[0, 3]], [u[3, 0], u[3, 3]]])
     b = np.array([[u[1, 1], u[1, 2]], [u[2, 1], u[2, 2]]])
@@ -391,7 +387,7 @@ def two_qubit_unitary(line, u, aux_above, aux_below) -> GadgetExpansion:
     emitted as a single native gate with zero ancilla uses.
     """
     if aux_above != line - 1 or aux_below != line + 2:
-        raise ValueError("ancillas must sit directly above and below the pair")
+        raise ValidationError("macro", "ancillas must sit directly above and below the pair")
     exp = GadgetExpansion()
     native = _try_matchgate(u)
     if native is not None:
@@ -446,28 +442,28 @@ def _move_block_up(exp: GadgetExpansion, block_start, block_len, steps):
         p -= 1
 
 
-def swap_gadget(target, magic_start, register_size, ids: IdGen,
-                post_selected=False, sink_base=None):
+def swap_gadget(target, magic_start, sink_base, ids: IdGen, post_selected=False):
     """Deterministic SWAP of lines (target, target+1) consuming one magic
     block (4 lines at magic_start..magic_start+3, below the targets).
 
     The block is swapped in between the two target lines, a Bell measurement
     (G(H,H) followed by computational measurements) is performed on each
     target against the block's outer lines, guarded Pauli corrections fix
-    the teleported pair, and the four measured lines are swapped to the
-    bottom with guarded-sign fermionic swaps.
+    the teleported pair, and the four measured lines sink to the 4-line
+    region ending at ``sink_base`` with guarded-sign fermionic swaps.
 
     With ``post_selected`` the measurements and corrections are omitted, the
     disposal uses plain fSWAPs, and the four lines are measured at the very
     end (returned separately as ``final_measures``); conditioning those
     records on 0 reproduces the adaptive gadget's effect.
 
-    Returns (expansion, final_measures).
+    Returns (expansion, the four record ids, final_measures).
     """
     if magic_start < target + 2:
         raise NoMagicAvailable("magic block must sit below the target pair")
     exp = GadgetExpansion()
     exp.cost.magic_consumed = 1
+    exp.cost.ancilla_lines = 4
     t = target
     _move_block_up(exp, magic_start, 4, magic_start - t - 1)
     # layout now: t: alpha1 | t+1..t+4: M | t+5: alpha2
@@ -475,7 +471,12 @@ def swap_gadget(target, magic_start, register_size, ids: IdGen,
     exp.gate(t + 4, HADAMARD_PAIR)
     recs = [ids.fresh("b") for _ in range(4)]
     final_measures = []
-    if not post_selected:
+    if post_selected:
+        # measured at the end of the computation instead; the junk sinks in
+        # reverse order, so r1 lands at sink_base-3 and r4 at sink_base
+        final_measures = [Measure(sink_base - 3 + i, rec, "final") for i, rec in enumerate(recs)]
+        exp.cost.measurements = 4
+    else:
         exp.measure(t, recs[0])
         exp.measure(t + 1, recs[1])
         exp.measure(t + 4, recs[2])
@@ -489,29 +490,19 @@ def swap_gadget(target, magic_start, register_size, ids: IdGen,
         for name, subset in SWAP_CORRECTIONS:
             line, mg = corr_gates[name]
             exp.gate(line, mg, Guard(frozenset(recs[i] for i in subset), 1))
-    # dispose the four consumed lines to the bottom of the register (or the
-    # caller-assigned 4-line region just above already-parked junk); the
-    # X(x)X corrections flipped the bits of the two inner junk lines, so
-    # their disposal guards carry those parities too
-    bottom = register_size - 1 if sink_base is None else sink_base
+    # dispose the four consumed lines to the caller-assigned region just
+    # above already-parked junk; the X(x)X corrections flipped the bits of
+    # the two inner junk lines, so their disposal guards carry those
+    # parities too
     junk = [
         (t + 5, {recs[3]}),
         (t + 4, {recs[2], recs[0], recs[1]}),
         (t + 1, {recs[1], recs[2], recs[3]}),
         (t, {recs[0]}),
     ]
-    sunk = 0
-    for pos, bit_ids in junk:
-        dest = bottom - sunk
-        guard = None if post_selected else bit_ids
-        exp.extend(fswap_ladder(pos, dest, guard_ids=guard))
-        sunk += 1
-    if post_selected:
-        # measured at the end of the computation instead; the junk sank in
-        # reverse order, so r1 sits at bottom-3 and r4 at the bottom
-        for i, rec in enumerate(recs):
-            final_measures.append(Measure(bottom - 3 + i, rec, "final"))
-    return exp, final_measures
+    for k, (pos, bit_ids) in enumerate(junk):
+        exp.extend(fswap_ladder(pos, sink_base - k, guard_ids=None if post_selected else bit_ids))
+    return exp, recs, final_measures
 
 
 def gadgetize_swaps(circuit: Circuit, post_selected=False):
@@ -522,44 +513,35 @@ def gadgetize_swaps(circuit: Circuit, post_selected=False):
     guards and plain fSWAP disposal, so that conditioning all of them on 0
     reproduces the original circuit's distribution.
 
-    Returns (circuit, ancilla_records) where ancilla_records lists the
-    gadget measurement records per SWAP.
+    Returns (circuit, ancilla_records, cost) where ancilla_records lists the
+    four gadget measurement records per SWAP and cost sums the gadgets'
+    costs.
     """
-    swaps = [ins for ins in circuit.program if isinstance(ins, Macro) and ins.name == "swap"]
-    k = len(swaps)
+    k = sum(1 for ins in circuit.macros() if ins.name == "swap")
+    cost = GadgetCost()
     if k == 0:
-        return circuit, []
-    taken = {m.record_id for m in circuit.measurements()}
-    ids = IdGen(taken, prefix="sw")
+        return circuit, [], cost
+    ids = IdGen({m.record_id for m in circuit.measurements()}, prefix="sw")
     n_new = circuit.n + 4 * k
     blocks = list(circuit.input.blocks) + [MagicBlock() for _ in range(k)]
-    # positions of the unconsumed magic blocks, updated as junk sinks below them
-    magic_at = [circuit.n + 4 * i for i in range(k)]
     program = []
     trailing_finals = []
-    used = 0
     all_records = []
     for ins in circuit.program:
-        if isinstance(ins, Macro) and ins.name == "swap":
-            line = ins.param("line")
-            if line is None:
-                raise ValidationError("macro", "swap macro needs a line")
-            exp, finals = swap_gadget(int(line) - 1, magic_at[used], n_new, ids,
-                                      post_selected=post_selected,
-                                      sink_base=n_new - 1 - 4 * used)
-            program.extend(exp.instructions)
-            trailing_finals.extend(finals)
-            all_records.append(list(exp.records) if not post_selected
-                               else [m.record_id for m in finals])
-            used += 1
-            # the four junk lines sank below every remaining magic block
-            for i in range(used, k):
-                magic_at[i] -= 4
-        else:
+        if not (isinstance(ins, Macro) and ins.name == "swap"):
             program.append(ins)
+            continue
+        # each gadget sinks its four junk lines below every unconsumed magic
+        # block, so the next block always starts at line circuit.n
+        exp, recs, finals = swap_gadget(ins.line("line", circuit.n - 1), circuit.n,
+                                        n_new - 1 - 4 * len(all_records), ids, post_selected)
+        program.extend(exp.instructions)
+        trailing_finals.extend(finals)
+        all_records.append(recs)
+        cost += exp.cost
     program.extend(trailing_finals)
     out = Circuit(n_new, InputSpec(tuple(blocks)), tuple(program))
-    return out.validate(), all_records
+    return out.validate(), all_records, cost
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +599,7 @@ def default_plus_attempts(x, eps=1e-6):
     return int(np.ceil(np.log(1 / eps) / plus_gadget_success_probability(x)))
 
 
-def plus_state_gadget(x, a1, a2, ids: IdGen, max_attempts=None):
+def plus_state_gadget(x, a1, a2, ids: IdGen):
     """One repeat-until-success attempt at preparing |+> on line a2 from two
     computational-basis ancilla lines (a1, a2 = a1+1).
 
@@ -630,20 +612,19 @@ def plus_state_gadget(x, a1, a2, ids: IdGen, max_attempts=None):
     attempt.  Disagreeing tilt outcomes void the attempt (no success is
     possible); the driver retries.
 
-    Returns (expansion, info) with info = (t1, t2, m) record ids plus the
-    attempt budget.
+    Returns (expansion, (t1, t2, m) record ids).
     """
     if a2 != a1 + 1:
-        raise ValueError("ancilla lines must be adjacent")
-    if not 0 < x <= np.pi / 4 + 1e-12:
-        raise ValueError("tilt angle must lie in (0, pi/4]")
+        raise ValidationError("macro", "ancilla lines must be adjacent, in order")
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 < x <= np.pi / 4 + 1e-12:
+        raise ValidationError("macro", f"tilt angle must lie in (0, pi/4], got {x!r}")
     exp = GadgetExpansion()
     t1 = ids.fresh("t")
     t2 = ids.fresh("t")
     m = ids.fresh("m")
     basis = Tilted(x)
-    exp.measure(a1, t1, basis=basis)
-    exp.measure(a2, t2, basis=basis)
+    exp.measure(a1, t1, basis)
+    exp.measure(a2, t2, basis)
     exp.gate(a1, Z_UPPER, Guard(frozenset({t1}), 1))
     exp.gate(a1, Z_LOWER, Guard(frozenset({t2}), 1))
     exp.gate(a1, XX_PAIR, Guard(frozenset({t2}), 1))
@@ -651,9 +632,7 @@ def plus_state_gadget(x, a1, a2, ids: IdGen, max_attempts=None):
     a_mat = np.array([[np.sin(y), np.cos(y)], [np.cos(y), -np.sin(y)]], dtype=complex)
     exp.gate(a1, matchgate_from_components(a_mat, H2))
     exp.measure(a1, m)
-    budget = max_attempts if max_attempts is not None else default_plus_attempts(x)
-    return exp, {"records": (t1, t2, m), "max_attempts": budget,
-                 "success_probability": plus_gadget_success_probability(x)}
+    return exp, (t1, t2, m)
 
 
 def run_plus_state_gadget(x, seed, max_attempts=None, eps=1e-6):
@@ -670,7 +649,7 @@ def run_plus_state_gadget(x, seed, max_attempts=None, eps=1e-6):
     p_succ = plus_gadget_success_probability(x)
     attempts = 0
     while attempts < budget:
-        exp, info = plus_state_gadget(x, 0, 1, ids)
+        exp, records = plus_state_gadget(x, 0, 1, ids)
         outcomes = {}
         for ins in exp.instructions:
             if isinstance(ins, Measure):
@@ -680,7 +659,7 @@ def run_plus_state_gadget(x, seed, max_attempts=None, eps=1e-6):
                 outcomes[ins.record_id] = bit
             elif ins.guard is None or ins.guard.fires(outcomes):
                 state.apply_gate(ins.gate, ins.line)
-        t1, t2, m = (outcomes[r] for r in info["records"])
+        t1, t2, m = (outcomes[r] for r in records)
         if t1 == t2:
             attempts += 1
             if m == 0:
@@ -733,25 +712,11 @@ def prepare_two_qubit_inputs(patterns, ids: IdGen) -> GadgetExpansion:
             line=3 * i + 2,  # macro params are 1-based
             ancilla_above=3 * i + 1,
             ancilla_below=3 * i + 4,
-            matrix=_matrix_param(v),
+            matrix=matrix2json(v),
         ))
-    bottom = 3 * p
-    sunk = 0
-    for i in range(p, -1, -1):
-        rec = ids.fresh("aux")
-        exp.measure(3 * i, rec)
-        exp.extend(fswap_ladder(3 * i, bottom - sunk, guard_ids={rec}))
-        sunk += 1
+    _measure_and_sink(exp, [3 * i for i in range(p, -1, -1)], 3 * p, ids, "aux")
     exp.cost.ancilla_lines = p + 1
     return exp
-
-
-def _matrix_param(m):
-    return [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in np.asarray(m)]
-
-
-def _matrix_unparam(rows):
-    return np.array([[complex(v[0], v[1]) for v in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -827,23 +792,12 @@ def compile_input(spec: InputSpec, taken_ids=()):
         if kind == "pair0":
             exp.extend(two_qubit_unitary(s, pair_prep_unitary(payload), s - 1, s + 2))
     # dispose master, scratch, and the auxiliary lines below the zone
-    n_total = s_count + 1 + (zone.n if zone is not None else 0)
-    bottom = n_total - 1
-    sunk = 0
-    rec = ids.fresh("m")
-    exp.measure(master, rec)
-    exp.extend(fswap_ladder(master, bottom - sunk, guard_ids={rec}))
-    sunk += 1
-    exp.extend(fswap_ladder(base, bottom - sunk))  # scratch is still |0>
-    sunk += 1
-    for s in range(s_count - 2, -1, -1):
-        if slots[s][0] != "aux":
-            continue
-        rec = ids.fresh("a")
-        exp.measure(s, rec)
-        exp.extend(fswap_ladder(s, bottom - sunk, guard_ids={rec}))
-        sunk += 1
-    exp.cost.ancilla_lines = sunk
+    bottom = s_count + (zone.n if zone is not None else 0)
+    _measure_and_sink(exp, [master], bottom, ids, "m")
+    exp.extend(fswap_ladder(base, bottom - 1))  # scratch is still |0>
+    aux = [s for s in range(s_count - 2, -1, -1) if slots[s][0] == "aux"]
+    _measure_and_sink(exp, aux, bottom - 2, ids, "a")
+    exp.cost.ancilla_lines = 2 + len(aux)
     return exp, canonical
 
 
@@ -887,16 +841,8 @@ def expand_macros(circuit: Circuit, post_selected_swaps=False):
         circuit = _expand_once(circuit, report)
     else:
         raise ValidationError("macro", "macro expansion did not terminate")
-    n_swaps = sum(1 for m in circuit.macros() if m.name == "swap")
-    if n_swaps:
-        before_n = circuit.n
-        before_gates = len(circuit.gates())
-        circuit, _ = gadgetize_swaps(circuit, post_selected=post_selected_swaps)
-        entry = report.setdefault("swap", GadgetCost())
-        entry.ancilla_lines += circuit.n - before_n
-        entry.magic_consumed += n_swaps
-        entry.measurements += 4 * n_swaps
-        entry.gates += len(circuit.gates()) - before_gates
+    if circuit.has_macros():
+        circuit, _, report["swap"] = gadgetize_swaps(circuit, post_selected_swaps)
     return circuit, report
 
 
@@ -920,30 +866,35 @@ def _expand_once(circuit, report):
 
 def _expand_macro(ins: Macro, n, ids) -> GadgetExpansion:
     name = ins.name
+
+    def matrix(key, dim):
+        return json2matrix(ins.param(key), (dim, dim), f"{name}: {key!r}")
+
     if name == "hadamard":
-        return hadamard_gadget(ins.param("target") - 1, ins.param("ancilla") - 1)
+        return hadamard_gadget(ins.line("target", n), ins.line("ancilla", n))
     if name == "single_qubit_unitary":
-        u = _matrix_unparam(ins.param("matrix"))
-        return single_qubit_unitary(ins.param("target") - 1, u, ins.param("ancilla") - 1)
+        return single_qubit_unitary(ins.line("target", n), matrix("matrix", 2),
+                                    ins.line("ancilla", n))
     if name == "two_qubit_unitary":
-        u = _matrix_unparam(ins.param("matrix"))
-        return two_qubit_unitary(ins.param("line") - 1, u,
-                                 ins.param("ancilla_above") - 1,
-                                 ins.param("ancilla_below") - 1)
+        return two_qubit_unitary(ins.line("line", n - 1), matrix("matrix", 4),
+                                 ins.line("ancilla_above", n), ins.line("ancilla_below", n))
     if name == "prepare_two_qubit_inputs":
-        patterns = [np.array([complex(p[0], p[1]) for p in pat])
-                    for pat in ins.param("patterns")]
-        return prepare_two_qubit_inputs(patterns, ids)
+        patterns = ins.param("patterns")
+        if not isinstance(patterns, list):
+            raise ValidationError("macro", f"{name}: 'patterns' must be a list, got {patterns!r}")
+        return prepare_two_qubit_inputs(
+            json2matrix(patterns, (len(patterns), 4), f"{name}: 'patterns'"), ids)
     if name == "toffoli":
         exp = GadgetExpansion()
-        inner = toffoli_gadget(ins.param("line") - 1, n, ids)
         exp.new_blocks.append(BitsBlock("0"))
         exp.cost.ancilla_lines += 1
-        exp.extend(inner)
+        exp.extend(toffoli_gadget(ins.line("line", n - 2), n, ids))
         return exp
     if name == "plus_state":
-        a1, a2 = ins.param("ancillas")
-        exp, _ = plus_state_gadget(ins.param("x"), a1 - 1, a2 - 1, ids,
-                                   ins.param("max_attempts"))
-        return exp
+        ancillas = ins.param("ancillas")
+        if not (isinstance(ancillas, list) and len(ancillas) == 2):
+            raise ValidationError("macro", f"plus_state: 'ancillas' must be two lines, "
+                                           f"got {ancillas!r}")
+        a1, a2 = (ins.line("ancillas", n, a) for a in ancillas)
+        return plus_state_gadget(ins.param("x"), a1, a2, ids)[0]
     raise ValidationError("macro", f"unknown macro {name!r}")

@@ -147,9 +147,9 @@ def _check_caps(circuit: Circuit, n_cap, branch_cap):
         raise CapExceeded(f"{k} intermediate measurements exceed branch cap {branch_cap}")
 
 
-def _macro_unitary(ins: Macro):
+def _macro_unitary(ins: Macro, n):
     if ins.name == "swap":
-        return SWAP4, ins.param("line") - 1  # file params are 1-based
+        return SWAP4, ins.line("line", n - 1)
     raise ValidationError("macro", f"oracle cannot execute macro {ins.name!r}")
 
 
@@ -175,7 +175,7 @@ def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, branch_cap=DEFAULT_BRAN
             elif isinstance(ins, Macro):
                 if not allow_swap_macros:
                     raise ValidationError("macro", "circuit contains unexpanded macros")
-                u, line = _macro_unitary(ins)
+                u, line = _macro_unitary(ins, circuit.n)
                 state.apply_two_qubit(u, line)
             elif ins.role == "intermediate":
                 probs = state.measure_probabilities(ins.line, ins.basis)

@@ -52,6 +52,13 @@ def _field(obj, key, convert, what):
     return _convert(obj[key], convert, f"{what}: field {key!r}")
 
 
+def _string(value):
+    """A record id or name: a JSON string, never another value's text."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 def _list(obj, key, what):
     """``obj[key]`` (default empty), which must be a JSON array."""
     value = obj.get(key, [])
@@ -66,11 +73,14 @@ def _pair2c(p, what):
     return _convert(p, lambda re_im: complex(*re_im), what)
 
 
-def _matrix2json(m):
+def matrix2json(m):
+    """A complex matrix as rows of [re, im] pairs."""
     return [[_c2pair(m[r, c]) for c in range(m.shape[1])] for r in range(m.shape[0])]
 
 
-def _json2matrix(rows, shape, what):
+def json2matrix(rows, shape, what):
+    """The complex ``shape`` matrix written as rows of [re, im] pairs;
+    anything else is a syntax error."""
     if not (isinstance(rows, list) and len(rows) == shape[0]):
         raise CircuitSyntaxError(f"{what}: expected {shape[0]} rows")
     m = np.zeros(shape, dtype=complex)
@@ -129,8 +139,8 @@ def _guard_to_json(guard):
 def _guard_from_json(obj):
     if not isinstance(obj, dict):
         raise CircuitSyntaxError("guard must be an object")
-    return Guard(frozenset(str(i) for i in _list(obj, "ids", "guard")),
-                 _convert(obj.get("parity", 0), int, "guard: field 'parity'"))
+    ids = frozenset(_convert(i, _string, "guard: ids") for i in _list(obj, "ids", "guard"))
+    return Guard(ids, _convert(obj.get("parity", 0), int, "guard: field 'parity'"))
 
 
 def _basis_to_json(basis):
@@ -159,7 +169,7 @@ def _instruction_to_json(ins):
         if ins.angles is not None:
             obj["angles"] = [float(v) for v in ins.angles.as_tuple()]
         else:
-            obj["matrix"] = {"a": _matrix2json(ins.gate.a), "b": _matrix2json(ins.gate.b)}
+            obj["matrix"] = {"a": matrix2json(ins.gate.a), "b": matrix2json(ins.gate.b)}
         if ins.guard is not None:
             obj["guard"] = _guard_to_json(ins.guard)
         return obj
@@ -197,20 +207,20 @@ def _instruction_from_json(obj, idx):
             m = obj["matrix"]
             if not isinstance(m, dict):
                 raise CircuitSyntaxError(f"{where}: matrix must be an object with 'a' and 'b'")
-            a = _json2matrix(m.get("a"), (2, 2), f"{where}.matrix.a")
-            b = _json2matrix(m.get("b"), (2, 2), f"{where}.matrix.b")
+            a = json2matrix(m.get("a"), (2, 2), f"{where}.matrix.a")
+            b = json2matrix(m.get("b"), (2, 2), f"{where}.matrix.b")
             return Gate(line, matchgate_from_components(a, b), guard, None)
         raise CircuitSyntaxError(f"program[{idx}]: gate needs 'angles' or 'matrix'")
     if op == "measure":
         return Measure(
             line=_field(obj, "line", int, where) - 1,
-            record_id=_field(obj, "id", str, where),
+            record_id=_field(obj, "id", _string, where),
             role=str(obj.get("role", "final")),
             basis=_basis_from_json(obj.get("basis")),
         )
     if op == "macro":
         params = {k: v for k, v in obj.items() if k not in ("op", "name")}
-        return Macro.make(_field(obj, "name", str, where), **params)
+        return Macro.make(_field(obj, "name", _string, where), **params)
     raise CircuitSyntaxError(f"program[{idx}]: unknown op {op!r}")
 
 

@@ -207,7 +207,7 @@ def test_acceptance_5_swap_gadget():
         c = Circuit(2, InputSpec((EntangledBlock(2, alpha),)),
                     (Macro.make("swap", line=1),
                      Measure(0, "x0", "final"), Measure(1, "x1", "final")))
-        gad, recs = gadgetize_swaps(c)
+        gad, recs, _ = gadgetize_swaps(c)
         assert sum(1 for b in gad.input.blocks if isinstance(b, MagicBlock)) == 1
         assert len(recs) == 1 and len(recs[0]) == 4
         want = SWAP @ alpha
@@ -228,8 +228,7 @@ def test_acceptance_6_plus_state_gadget():
     worst_p = 0.0
     worst_f = 1.0
     for x in (np.pi / 4, np.pi / 8, np.pi / 16, np.pi / 32):
-        exp, info = plus_state_gadget(x, 0, 1, IdGen())
-        t1, t2, m = info["records"]
+        exp, (t1, t2, m) = plus_state_gadget(x, 0, 1, IdGen())
         circ = Circuit(2, bits_input("00"),
                        tuple(exp.instructions) + (Measure(1, "xf", "final"),)).validate()
         dist = run_exact(circ)
@@ -310,7 +309,7 @@ def test_acceptance_8_post_selection_identity():
                 (BitsBlock("1"), EntangledBlock(n - 1, _random_state(2 ** (n - 1), rng))))
             d = Circuit(n, spec, tuple(prog))
             dist_d = run_exact(d, allow_swap_macros=True)
-            dprime, recs = gadgetize_swaps(d, post_selected=True)
+            dprime, recs, _ = gadgetize_swaps(d, post_selected=True)
             constraints = {r: 0 for group in recs for r in group}
             cond = post_select(run_exact(dprime), constraints)
             for rec, p in dist_d.probs.items():

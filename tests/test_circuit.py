@@ -235,7 +235,7 @@ def test_swap_gadget_circuit_all_16_assignments_resolve_distinctly():
     c = Circuit(2, InputSpec((EntangledBlock(2, alpha),)),
                 (Macro.make("swap", line=1),
                  Measure(0, "x0", "final"), Measure(1, "x1", "final")))
-    gad, recs = gadgetize_swaps(c)
+    gad, recs, _ = gadgetize_swaps(c)
     finals = gad.measurements("final")
     seqs = set()
     for bits in np.ndindex(2, 2, 2, 2):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from matchsim.circuit import (
     BitsBlock,
@@ -275,22 +277,80 @@ def _input(*blocks):
     return {"n": 2, "input": list(blocks), "program": [_MEASURE2]}
 
 
-@pytest.mark.parametrize("doc", [
-    _gate(angles=[0] * 6, guard={"ids": 3, "parity": 0}),
-    _gate(angles=[0] * 6, guard={"ids": [], "parity": "a"}),
-    _gate(angles=["a", 0, 0, 0, 0, 0]),
-    _gate(matrix=3),
-    _input({"kind": "bits", "value": "0"}, {"kind": "entangled", "k": "x", "amps": []}),
-    _input({"kind": "product", "states": [["a", 0, 1, 0], [1, 0, 0, 0]]}),
-    _input({"kind": "product", "states": 5}),
-    {"n": 2, "input": 5, "program": [_MEASURE2]},
-    {"n": 2, "input": _BITS2, "program": 5},
-    {"n": float("inf"), "input": _BITS2, "program": [_MEASURE2]},
-])
-def test_malformed_document_exit_code(tmp_path, capsys, doc):
+def _program(*instructions):
+    return {"n": 2, "input": _BITS2, "program": [*instructions, _MEASURE2]}
+
+
+def _macro(name, n=4, **params):
+    return {"n": n, "input": [{"kind": "bits", "value": "0" * n}],
+            "program": [{"op": "macro", "name": name, **params}, _MEASURE2]}
+
+
+_PROB = ("prob", "F", "-p", "0")
+_EXPAND = ("gadget", "expand", "F")
+_INTERMEDIATE = {"op": "measure", "line": 1, "id": "1", "role": "intermediate",
+                 "basis": {"kind": "computational"}}
+_MALFORMED = [
+    (_gate(angles=[0] * 6, guard={"ids": 3, "parity": 0}), _PROB),
+    (_gate(angles=[0] * 6, guard={"ids": [], "parity": "a"}), _PROB),
+    (_gate(angles=["a", 0, 0, 0, 0, 0]), _PROB),
+    (_gate(matrix=3), _PROB),
+    (_input({"kind": "bits", "value": "0"}, {"kind": "entangled", "k": "x", "amps": []}), _PROB),
+    (_input({"kind": "product", "states": [["a", 0, 1, 0], [1, 0, 0, 0]]}), _PROB),
+    (_input({"kind": "product", "states": 5}), _PROB),
+    ({"n": 2, "input": 5, "program": [_MEASURE2]}, _PROB),
+    ({"n": 2, "input": _BITS2, "program": 5}, _PROB),
+    ({"n": float("inf"), "input": _BITS2, "program": [_MEASURE2]}, _PROB),
+    # record ids are JSON strings, never the text of another value
+    (_program({**_INTERMEDIATE, "id": ["x"]}), _PROB),
+    (_program({**_INTERMEDIATE, "id": 7}), _EXPAND),
+    (_program(_INTERMEDIATE, {"op": "gate", "line": 1, "angles": [0] * 6,
+                              "guard": {"ids": [1], "parity": 0}}), _PROB),
+    # malformed macros
+    (_macro("hadamard", ancilla=2), _EXPAND),
+    (_macro("single_qubit_unitary", target=1, ancilla=2, matrix=3), _EXPAND),
+    (_macro("swap", line=9), _EXPAND),
+    (_macro("toffoli", line="a"), _EXPAND),
+    (_macro("plus_state", ancillas=[1], x=0.5), _EXPAND),
+    (_macro("hadamard", target=1, ancilla=3), _EXPAND),
+    (_macro("swap", line=[1]), _EXPAND),
+]
+
+
+def run_argv(capsys, argv, path="F"):
+    """Exit code and stdout of ``argv`` with ``F`` replaced by ``path``;
+    argparse usage errors count as their exit code."""
+    try:
+        code = main([path if a == "F" else a for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc, argv", _MALFORMED,
+                         ids=[f"doc{i}" for i in range(len(_MALFORMED))])
+def test_malformed_document_exit_code(tmp_path, capsys, doc, argv):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
-    code, out = run_cli(capsys, "prob", str(path), "-p", "0")
+    code, out = run_argv(capsys, argv, str(path))
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "F", "--shots", "-1"],
+    ["sample", "F", "--seed", "-1"],
+    ["xcheck", "--random", "1", "5", "2", "3"],
+    ["xcheck", "--random", "0", "5", "2", "3"],
+    ["xcheck", "--random", "3", "-5", "2", "3"],
+    ["xcheck", "--random", "3", "5", "2", "-3"],
+    ["xcheck", "--random", "3", "5", "-1", "3"],
+    ["xcheck", "--random", "3", "5", "2", "3", "--max-adaptive", "-1"],
+    ["xcheck", "F", "--tol", "nan"],
+    ["prob", "F", "-p", "0**1", "--max-adaptive", "-1"],
+])
+def test_out_of_range_argument_exit_code(capsys, adaptive_file, argv):
+    code, out = run_argv(capsys, argv, adaptive_file)
     assert code == 2
     assert out == ""
 
@@ -325,3 +385,49 @@ def test_unread_flag_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+_ABSENT = object()  # the parameter is left out of the macro
+_MACRO_KEYS = {
+    "hadamard": ("target", "ancilla"),
+    "single_qubit_unitary": ("target", "ancilla", "matrix"),
+    "two_qubit_unitary": ("line", "ancilla_above", "ancilla_below", "matrix"),
+    "prepare_two_qubit_inputs": ("patterns",),
+    "toffoli": ("line",),
+    "plus_state": ("ancillas", "x"),
+    "swap": ("line",),
+}
+_H = [[[2 ** -0.5, 0], [2 ** -0.5, 0]], [[2 ** -0.5, 0], [-(2 ** -0.5), 0]]]
+_CZ = [[[float(i == j) * (-1 if i == 3 else 1), 0] for j in range(4)] for i in range(4)]
+_BELL = [[2 ** -0.5, 0], [0, 0], [0, 0], [2 ** -0.5, 0]]
+# well-formed values, so that draws also reach the gadgets behind the decoder
+_WELL_FORMED = st.sampled_from([1, 2, 3, _H, _CZ, [_BELL], [1, 2], [2, 3], 0.3])
+_PARAM = st.one_of(
+    st.just(_ABSENT),
+    st.integers(-2, 7),
+    st.text(max_size=2),
+    st.floats(),
+    st.lists(st.one_of(st.integers(-1, 6), st.floats(-2, 2)), max_size=4),
+    _WELL_FORMED,
+)
+
+
+@st.composite
+def _macro_documents(draw):
+    name = draw(st.sampled_from(sorted(_MACRO_KEYS)))
+    params = {key: draw(_PARAM) for key in _MACRO_KEYS[name]}
+    n = draw(st.integers(3, 5))
+    return _macro(name, n, **{k: v for k, v in params.items() if v is not _ABSENT})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_macro_documents(), post_selected=st.booleans())
+def test_gadget_expand_exit_code_property(tmp_path, capsys, doc, post_selected):
+    path = tmp_path / "macro.json"
+    path.write_text(json.dumps(doc))
+    argv = [*_EXPAND, "--post-selected"] if post_selected else list(_EXPAND)
+    code, out = run_argv(capsys, argv, str(path))
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert out == ""

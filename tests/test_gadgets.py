@@ -22,6 +22,7 @@ from matchsim.circuit import (
 from matchsim.errors import MaxAttemptsExceeded, NoMagicAvailable, UnsupportedLayout
 from matchsim.gadgets import (
     H2,
+    GadgetCost,
     IdGen,
     PLUS,
     SWAP_CORRECTIONS,
@@ -220,7 +221,8 @@ def _swap_macro_circuit(alpha, post=False):
     spec = InputSpec((EntangledBlock(2, alpha),))
     prog = (Macro.make("swap", line=1),
             Measure(0, "x0", "final"), Measure(1, "x1", "final"))
-    return gadgetize_swaps(Circuit(2, spec, prog), post_selected=post)
+    out, recs, _ = gadgetize_swaps(Circuit(2, spec, prog), post_selected=post)
+    return out, recs
 
 
 def test_swap_gadget_basis_and_symmetric_states():
@@ -252,6 +254,19 @@ def test_swap_gadget_resource_accounting():
     assert sum(1 for b in c.input.blocks if isinstance(b, MagicBlock)) == 1
     assert len(c.measurements("intermediate")) == 4
     assert len(recs) == 1 and len(recs[0]) == 4
+
+
+def test_swap_gadget_cost_ledger():
+    # each gadget records its own cost; gadgetize_swaps sums them
+    spec = InputSpec((BitsBlock("100"),))
+    prog = (Macro.make("swap", line=1), Macro.make("swap", line=2), Measure(0, "x0", "final"))
+    for post in (False, True):
+        out, recs, cost = gadgetize_swaps(Circuit(3, spec, prog), post_selected=post)
+        assert cost == GadgetCost(gates=len(out.gates()), measurements=8, ancilla_lines=8,
+                                  magic_consumed=2)
+        assert out.n == 3 + 8 and len(out.measurements()) == 1 + 8
+        assert [r for group in recs for r in group] == [
+            m.record_id for m in out.measurements() if m.record_id != "x0"]
 
 
 def test_swap_gadget_requires_magic():
@@ -306,8 +321,8 @@ def test_swap_correction_table_regression():
 
 def test_gadgetize_no_swaps_is_identity():
     c = Circuit(2, bits_input("01"), (Measure(0, "x", "final"),)).validate()
-    out, recs = gadgetize_swaps(c)
-    assert out is c and recs == []
+    out, recs, cost = gadgetize_swaps(c)
+    assert out is c and recs == [] and cost == GadgetCost()
 
 
 def test_gadgetize_postselected_identity():
@@ -334,7 +349,7 @@ def test_gadgetize_swap_in_larger_circuit_with_following_gates():
             Measure(2, "x2", "final"), Measure(3, "x3", "final"))
     orig = Circuit(4, spec, prog)
     d_orig = run_exact(orig, allow_swap_macros=True)
-    gad, _ = gadgetize_swaps(orig)
+    gad, _, _ = gadgetize_swaps(orig)
     d_gad = run_exact(gad)
     marg = d_gad.marginal(["x0", "x1", "x2", "x3"])
     for rec, p in d_orig.probs.items():
@@ -364,8 +379,7 @@ def test_toffoli_truth_table():
 def test_plus_gadget_success_probability_formula():
     # P(m=0 | matched tilt outcomes) equals sin^2(2x) on the oracle
     for x in (np.pi / 4, np.pi / 8, np.pi / 16, np.pi / 32):
-        exp, info = plus_state_gadget(x, 0, 1, IdGen())
-        t1, t2, m = info["records"]
+        exp, (t1, t2, m) = plus_state_gadget(x, 0, 1, IdGen())
         circ = Circuit(2, bits_input("00"),
                        tuple(exp.instructions) + (Measure(1, "xf", "final"),)).validate()
         dist = run_exact(circ)
@@ -378,8 +392,7 @@ def test_plus_gadget_success_probability_formula():
 
 def test_plus_gadget_conditional_state_is_plus():
     for x in (np.pi / 4, np.pi / 12, np.pi / 32):
-        exp, info = plus_state_gadget(x, 0, 1, IdGen())
-        t1, t2, m = info["records"]
+        exp, (t1, t2, m) = plus_state_gadget(x, 0, 1, IdGen())
         circ = Circuit(2, bits_input("00"),
                        tuple(exp.instructions) + (Measure(1, "xf", "final"),)).validate()
         for records, prob, state in branch_states(circ):
