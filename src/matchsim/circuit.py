@@ -62,13 +62,16 @@ class Matchgate:
 def matchgate_from_components(a, b) -> Matchgate:
     """Validate (a, b) and build the matchgate G(a, b).
 
+    The gate keeps read-only copies of ``a`` and ``b``: its rotation block is
+    cached by identity, so the gate must not change after it is built.
     Raises NotUnitary or DeterminantMismatch with the offending residual.
     """
-    a = _check_unitary(a, "a")
-    b = _check_unitary(b, "b")
+    a = _check_unitary(a, "a").copy()
+    b = _check_unitary(b, "b").copy()
     residual = abs(np.linalg.det(a) - np.linalg.det(b))
     if residual > UNITARY_TOL:
         raise DeterminantMismatch(residual)
+    a.flags.writeable = b.flags.writeable = False
     return Matchgate(a, b)
 
 

@@ -70,6 +70,17 @@ def _read_circuit(path) -> Circuit:
         return parse_circuit(fh.read())
 
 
+def _read_lowered(path, command) -> Circuit:
+    """The circuit at ``path``, which must hold no macro: only ``gadget
+    expand`` lowers them.  The macros are decoded first, by lowering them, so
+    a malformed one exits 2 and only a well-formed one exits 3."""
+    circuit = _read_circuit(path)
+    if circuit.has_macros():
+        expand_macros(circuit)
+        raise BackendInapplicable(command, "circuit has unexpanded macros; run gadget expand")
+    return circuit
+
+
 def _final_records(circuit):
     return [m.record_id for m in circuit.measurements("final")]
 
@@ -155,9 +166,7 @@ def _pick_backend(requested, circuit, pattern=None):
 
 
 def cmd_prob(args) -> tuple[int, RunReport]:
-    circuit = _read_circuit(args.circuit)
-    if circuit.has_macros():
-        raise BackendInapplicable("prob", "circuit has unexpanded macros; run gadget expand")
+    circuit = _read_lowered(args.circuit, "prob")
     backend = _pick_backend(args.backend, circuit, args.pattern)
     stats = pfaffian.EvalStats()
     p, counters = _marginal_probability(circuit, args.pattern, backend,
@@ -173,9 +182,7 @@ def _format_record(rec_bits, order):
 
 
 def cmd_sample(args) -> tuple[int, RunReport]:
-    circuit = _read_circuit(args.circuit)
-    if circuit.has_macros():
-        raise BackendInapplicable("sample", "circuit has unexpanded macros; run gadget expand")
+    circuit = _read_lowered(args.circuit, "sample")
     backend = args.backend if args.backend != "auto" else "pfaffian"
     report = RunReport(backend, "sample", seed=args.seed)
     order = [m.record_id for m in circuit.measurements()]
@@ -243,7 +250,7 @@ def _xcheck_one(circuit):
 def cmd_xcheck(args) -> tuple[int, RunReport]:
     circuits = []
     if args.circuit:
-        circuits.append(("file", _read_circuit(args.circuit)))
+        circuits.append(("file", _read_lowered(args.circuit, "xcheck")))
     else:
         n, depth, count, seed = args.random
         if n < 2 or count < 1:

@@ -11,6 +11,7 @@ Majorana indices are 0-based in code: line l (0-based) owns indices 2l
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +191,12 @@ def gate_rotation_block(gate) -> np.ndarray:
     return block.real
 
 
+# Read-only rotation block of each Matchgate, computed once.  Matchgate is
+# frozen with eq=False, so it is keyed by identity, and its arrays are
+# read-only, so a block cannot go stale; the entry dies with its gate.
+_BLOCKS = weakref.WeakKeyDictionary()
+
+
 def segment_rotation(gates, n: int) -> np.ndarray:
     """Rotation of a sequence of ``Gate`` instructions (first-applied gate
     first in the list).
@@ -199,9 +206,14 @@ def segment_rotation(gates, n: int) -> np.ndarray:
     """
     r = np.eye(2 * n)
     for g in gates:
+        block = _BLOCKS.get(g.gate)
+        if block is None:
+            block = gate_rotation_block(g.gate)
+            block.flags.writeable = False
+            _BLOCKS[g.gate] = block
         j = slice(2 * g.line, 2 * g.line + 4)
         # r @ r_gate touches only the four banded columns
-        r[:, j] = r[:, j] @ gate_rotation_block(g.gate)
+        r[:, j] = r[:, j] @ block
     return r
 
 

@@ -8,6 +8,7 @@ with one trailing entangled zone of k lines costs an extra sum over at most
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,16 +189,30 @@ def resolve_outcomes(circuit: Circuit, outcomes: dict, backend: str):
     return intermediates, t, assigned_finals
 
 
+# Per circuit, the read-only cumulative rotation through segment s, keyed by
+# the outcomes y_<s of the intermediates before it.  Guards may read only
+# earlier records (``guard-earlier``), so that rotation depends on y_<s
+# alone; the entries die with their circuit.
+_PREFIX_R = weakref.WeakKeyDictionary()
+
+
 def cumulative_ts(circuit: Circuit, outcomes: dict, upto: int, with_final: bool):
     """Cumulative T matrices T^(1), .., T^(upto) (and the final-segment T as
     the last entry when ``with_final``), with guards resolved from outcomes."""
     segs = instantiate_segments(circuit, outcomes, upto=None if with_final else upto)
     n = circuit.n
+    inters = circuit.measurements("intermediate")
+    prefix_r = _PREFIX_R.setdefault(circuit, {})
     ts = []
     r = np.eye(2 * n)
     limit = len(segs) if with_final else upto
     for s in range(limit):
-        r = r @ segment_rotation(segs[s], n)
+        key = tuple(outcomes[m.record_id] for m in inters[:s])
+        if key not in prefix_r:
+            extended = r @ segment_rotation(segs[s], n)
+            extended.flags.writeable = False
+            prefix_r[key] = extended
+        r = prefix_r[key]
         ts.append(t_from_r(r))
     return ts
 

@@ -94,6 +94,16 @@ def test_angle_form_matches_direct_product_and_roundtrips():
         matchgate_from_components(g.a, g.b)
 
 
+def test_matchgate_components_are_read_only_copies():
+    a, b = Z.copy(), X.copy()
+    g = matchgate_from_components(a, b)
+    a[0, 0] = 7.0  # the caller's arrays stay the caller's
+    assert g.a[0, 0] == 1.0
+    for m in (g.a, g.b):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
 def test_matchgate_preserves_parity():
     rng = np.random.default_rng(3)
     zz = np.kron(Z, Z)

@@ -128,6 +128,16 @@ def test_macro_circuit_rejected_by_prob(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", [("prob", "F", "-p", "0"), ("sample", "F"), ("xcheck", "F")],
+                         ids=["prob", "sample", "xcheck"])
+@pytest.mark.parametrize("target, code", [(1, 3), ("a", 2)], ids=["well-formed", "malformed"])
+def test_unexpanded_macro_exit_code(tmp_path, capsys, command, target, code):
+    # every command decodes a macro before it rejects it as unexpanded
+    path = tmp_path / "macro.json"
+    path.write_text(json.dumps(_macro("hadamard", target=target, ancilla=2)))
+    assert run_argv(capsys, command, str(path)) == (code, "")
+
+
 def test_gadget_expand_macro_free_identity(capsys, fswap_file):
     code, out = run_cli(capsys, "gadget", "expand", fswap_file)
     assert code == 0

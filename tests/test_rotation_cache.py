@@ -1,0 +1,100 @@
+"""The rotation caches: each gate's Majorana block and each y-prefix's
+cumulative rotation are computed once, agree bit for bit with a fresh
+computation, cannot be written, and die with their gate or circuit."""
+
+import gc
+import itertools
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matchsim import majorana, pfaffian
+from matchsim.circuit import instantiate_segments
+from matchsim.majorana import gate_rotation_block, t_from_r
+from matchsim.oracle import random_mg_circuit
+from matchsim.pfaffian import _projector_rows, joint_prob_entangled, measurement_rows
+
+
+def _fresh_rows(circuit, outcomes):
+    """``measurement_rows`` rebuilt from a plain product of freshly computed
+    gate blocks, with no cache involved."""
+    inters = circuit.measurements("intermediate")
+    t = sum(1 for m in inters if m.record_id in outcomes)
+    finals = [m for m in circuit.measurements("final") if m.record_id in outcomes]
+    segs = instantiate_segments(circuit, outcomes, upto=None if finals else t)
+    n = circuit.n
+    ts, r = [], np.eye(2 * n)
+    for seg in segs[:len(segs) if finals else t]:
+        r_seg = np.eye(2 * n)
+        for g in seg:
+            j = slice(2 * g.line, 2 * g.line + 4)
+            r_seg[:, j] = r_seg[:, j] @ gate_rotation_block(g.gate)
+        r = r @ r_seg
+        ts.append(t_from_r(r))
+    rows = []
+    for s in range(t):
+        rows += _projector_rows(ts[s][inters[s].line], outcomes[inters[s].record_id])
+    for m in finals:
+        rows += _projector_rows(ts[-1][m.line], outcomes[m.record_id])
+    for s in reversed(range(t)):
+        rows += _projector_rows(ts[s][inters[s].line], outcomes[inters[s].record_id])
+    return np.array(rows, dtype=complex).reshape(-1, 2 * n)
+
+
+def _records(circuit):
+    """Every y-prefix on its own, then every full record."""
+    inters = [m.record_id for m in circuit.measurements("intermediate")]
+    finals = [m.record_id for m in circuit.measurements("final")]
+    for t in range(len(inters) + 1):
+        for y in itertools.product((0, 1), repeat=t):
+            yield dict(zip(inters, y))
+    for bits in itertools.product((0, 1), repeat=len(inters) + len(finals)):
+        yield dict(zip(inters + finals, bits))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 6), depth=st.integers(1, 12), k=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cached_rows_equal_fresh_rows_bit_for_bit(n, depth, k, seed):
+    circuit = random_mg_circuit(n, depth, seed=seed, n_intermediate=k, guard_prob=0.7)
+    for outcomes in _records(circuit):  # fills the caches
+        measurement_rows(circuit, outcomes)
+    for outcomes in _records(circuit):
+        assert np.array_equal(measurement_rows(circuit, outcomes), _fresh_rows(circuit, outcomes))
+
+
+def _warm_circuit():
+    circuit = random_mg_circuit(4, 12, seed=8, n_intermediate=2)
+    for outcomes in _records(circuit):
+        joint_prob_entangled(circuit, outcomes)
+    return circuit
+
+
+def test_caches_die_with_their_circuit():
+    gc.collect()
+    blocks, prefixes = len(majorana._BLOCKS), len(pfaffian._PREFIX_R)
+    circuit = _warm_circuit()
+    gates = [g.gate for g in circuit.gates()]
+    assert circuit in pfaffian._PREFIX_R
+    assert all(g in majorana._BLOCKS for g in gates)
+    refs = [weakref.ref(circuit)] + [weakref.ref(g) for g in gates]
+    del circuit, gates
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert (len(majorana._BLOCKS), len(pfaffian._PREFIX_R)) == (blocks, prefixes)
+
+
+def test_cached_blocks_and_rotations_are_read_only():
+    circuit = _warm_circuit()
+    block = majorana._BLOCKS[circuit.gates()[0].gate]
+    with pytest.raises(ValueError):
+        block[0, 0] = 2.0
+    rotations = pfaffian._PREFIX_R[circuit]
+    # one rotation per y-prefix: through segments 0, 1 and 2
+    assert set(rotations) == {y for t in range(3) for y in itertools.product((0, 1), repeat=t)}
+    for r in rotations.values():
+        with pytest.raises(ValueError):
+            r[0, 0] = 2.0
