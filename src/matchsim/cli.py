@@ -105,51 +105,40 @@ def _pattern_assignment(circuit, pattern):
     return out
 
 
+def _sum_over(records, outcomes, joint):
+    """Sum of ``joint`` over every 0/1 assignment of ``records``, each added
+    to ``outcomes``."""
+    total = 0.0
+    for y in np.ndindex(*([2] * len(records))):
+        oc = dict(outcomes)
+        oc.update(zip(records, map(int, y)))
+        total += joint(oc)
+    return total
+
+
 def _marginal_probability(circuit, pattern, backend, max_adaptive, max_block, stats):
     """p(pattern) marginalized over wildcards and intermediate outcomes;
     the backends' numerical-health flags accumulate in ``stats.flags``."""
     assignment = _pattern_assignment(circuit, pattern)
     inters = _intermediate_records(circuit)
-    counters = {}
     if backend == "oracle":
         dist = oracle.run_exact(circuit)
-        counters["branches"] = len(dist.probs)
-        return dist.probability(assignment), counters
-    total = 0.0
+        return dist.probability(assignment), {"branches": len(dist.probs)}
     if backend == "heisenberg":
         if not inters and len(assignment) == 1:
             ((rid, bit),) = assignment.items()
             line = next(m.line for m in circuit.measurements("final") if m.record_id == rid)
             p = heisenberg.strong_single_line(circuit, line, max_block, outcome=bit)
-            counters["terms"] = (2 * circuit.n) ** 2
-            return p, counters
-        for y in np.ndindex(*([2] * len(inters))):
-            oc = dict(zip(inters, map(int, y)))
-            oc.update(assignment)
-            total += heisenberg.joint_prob_few_adaptive(
-                circuit, oc, max_adaptive=max_adaptive, max_block=max_block, stats=stats
-            )
-        counters["terms"] = stats.term_count
-        return total, counters
-    # pfaffian
+            return p, {"terms": (2 * circuit.n) ** 2}
+        total = _sum_over(inters, assignment, lambda oc: heisenberg.joint_prob_few_adaptive(
+            circuit, oc, max_adaptive=max_adaptive, max_block=max_block, stats=stats))
+        return total, {"terms": stats.term_count}
+    # pfaffian, summed over the compiled circuit's added records too
     work, _ = compile_circuit(circuit)
-    for y in np.ndindex(*([2] * len(inters))):
-        oc = dict(zip(inters, map(int, y)))
-        oc.update(assignment)
-        total += _pfaffian_marginal(work, oc, stats)
-    counters["pfaffian_evals"] = stats.evaluated_pairs
-    return total, counters
-
-
-def _pfaffian_marginal(compiled, outcomes, stats):
-    """Sum the compiled circuit's joint over its compilation records."""
-    extra = [r for r in _intermediate_records(compiled) if r not in outcomes]
-    total = 0.0
-    for z in np.ndindex(*([2] * len(extra))):
-        oc = dict(outcomes)
-        oc.update(zip(extra, map(int, z)))
-        total += pfaffian.joint_prob_entangled(compiled, oc, stats)
-    return total
+    added = [r for r in _intermediate_records(work) if r not in inters]
+    total = _sum_over(inters, assignment, lambda oc: _sum_over(
+        added, oc, lambda full: pfaffian.joint_prob_entangled(work, full, stats)))
+    return total, {"pfaffian_evals": stats.evaluated_pairs}
 
 
 def _pick_backend(requested, circuit, pattern=None):
@@ -207,44 +196,41 @@ def cmd_sample(args) -> tuple[int, RunReport]:
     return EXIT_OK, report
 
 
+def _deviation(dist, joint):
+    """(max |p - q|, total-variation distance) between the oracle's records
+    and ``joint`` on them."""
+    dev = 0.0
+    tv = 0.0
+    for rec, p in dist.probs.items():
+        q = joint(dict(rec))
+        dev = max(dev, abs(p - q))
+        tv += abs(p - q)
+    return dev, tv / 2
+
+
 def _xcheck_one(circuit):
     """Run every applicable backend against the oracle joint distribution.
 
-    Returns (max_abs_deviation, deviations dict, tv_distances dict, flags)."""
+    Returns ({backend: (max_abs_deviation, tv_distance)}, flags)."""
     dist = oracle.run_exact(circuit)
     stats = pfaffian.EvalStats()
-    devs = {}
-    tvs = {}
     # pfaffian on the compiled circuit, compared against the oracle on the
     # same compiled circuit (record sets match exactly)
     work, _ = compile_circuit(circuit)
     wdist = dist if work is circuit else oracle.run_exact(work)
-    dev = 0.0
-    tv = 0.0
-    for rec, p in wdist.probs.items():
-        q = pfaffian.joint_prob_entangled(work, dict(rec), stats)
-        dev = max(dev, abs(p - q))
-        tv += abs(p - q)
-    devs["pfaffian"] = dev
-    tvs["pfaffian"] = tv / 2
+    devs = {"pfaffian": _deviation(
+        wdist, lambda oc: pfaffian.joint_prob_entangled(work, oc, stats))}
     flags = stats.flags
     # heisenberg where applicable
-    k = len(_intermediate_records(circuit))
+    if len(_intermediate_records(circuit)) > 2:
+        flags.append("heisenberg skipped: adaptive count above cap")
+        return devs, flags
     try:
-        if k <= 2:
-            dev = 0.0
-            tv = 0.0
-            for rec, p in dist.probs.items():
-                q = heisenberg.joint_prob_few_adaptive(circuit, dict(rec), method="grouped")
-                dev = max(dev, abs(p - q))
-                tv += abs(p - q)
-            devs["heisenberg"] = dev
-            tvs["heisenberg"] = tv / 2
-        else:
-            flags.append("heisenberg skipped: adaptive count above cap")
+        devs["heisenberg"] = _deviation(
+            dist, lambda oc: heisenberg.joint_prob_few_adaptive(circuit, oc))
     except BackendInapplicable as exc:
         flags.append(f"heisenberg skipped: {exc.reason}")
-    return max(devs.values()), devs, tvs, flags
+    return devs, flags
 
 
 def cmd_xcheck(args) -> tuple[int, RunReport]:
@@ -264,11 +250,12 @@ def cmd_xcheck(args) -> tuple[int, RunReport]:
     report = RunReport("xcheck", "xcheck", seed=None)
     worst = 0.0
     for name, c in circuits:
-        dev, devs, tvs, flags = _xcheck_one(c)
-        worst = max(worst, dev)
+        devs, flags = _xcheck_one(c)
         for b in sorted(devs):
-            report.probabilities[f"{name}.{b}.maxdev"] = devs[b]
-            report.probabilities[f"{name}.{b}.tv"] = tvs[b]
+            dev, tv = devs[b]
+            worst = max(worst, dev)
+            report.probabilities[f"{name}.{b}.maxdev"] = dev
+            report.probabilities[f"{name}.{b}.tv"] = tv
         report.flags.extend(f"{name}: {f}" for f in flags)
     report.counters["circuits"] = len(circuits)
     report.counters["max_abs_deviation"] = worst

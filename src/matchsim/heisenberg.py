@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, Computational, Gate, Measure
+from .circuit import Circuit
 from .errors import (
     BackendInapplicable,
     BudgetExceeded,
@@ -37,7 +37,7 @@ NEG_CLAMP = 1e-9
 DEFAULT_MAX_ADAPTIVE = 3
 DEFAULT_MAX_BLOCK = 12
 DEFAULT_TERM_BUDGET = 400_000  # literal term-by-term evaluation cap
-GROUPED_N_CAP = 16
+GROUPED_N_CAP = 16  # dense evaluation holds 2^n amplitudes
 
 
 def strong_single_line(circuit: Circuit, line: int, max_block: int = DEFAULT_MAX_BLOCK,
@@ -83,24 +83,13 @@ def _pair_expectations(spec, n, max_block):
 def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
                             max_adaptive: int = DEFAULT_MAX_ADAPTIVE,
                             max_block: int = DEFAULT_MAX_BLOCK,
-                            term_budget: int = DEFAULT_TERM_BUDGET,
-                            method: str = "auto",
                             stats: EvalStats | None = None) -> float:
     """Joint probability of a y-prefix plus a subset of final outcomes.
 
-    The displayed sum has (2n)^(4k + 2|x|) summands.  ``method`` selects the
-    evaluation path:
-
-    * ``"terms"``   - literal summand-by-summand evaluation through
-      ``expectation_pauli`` (the textbook costing; gated by ``term_budget``);
-    * ``"grouped"`` - the same sum with the summation indices distributed
-      into sequential applications of the 2n-term Majorana-sum operators to a
-      dense input vector (identical value, polynomially many operator
-      applications, exponential only in n);
-    * ``"auto"``    - literal when affordable, grouped otherwise.
-
-    The nominal summand count is reported in ``stats.term_count`` regardless
-    of the path taken.
+    The displayed sum has (2n)^(4k + 2|x|) summands, and its nominal count is
+    reported in ``stats.term_count``.  Up to ``GROUPED_N_CAP`` lines it is
+    evaluated densely (``_eval_grouped``); above that, summand by summand
+    (``_eval_terms``) within ``DEFAULT_TERM_BUDGET`` summands.
     """
     check_computational_program(circuit, "heisenberg")
     stats = stats if stats is not None else EvalStats()
@@ -114,21 +103,15 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
     n = circuit.n
     count = (2 * n) ** len(rows)
     stats.term_count += count
-    if method == "auto":
-        method = "terms" if count <= term_budget else "grouped"
-    if method == "terms":
-        if count > term_budget:
-            raise BudgetExceeded(count, term_budget)
-        value = _eval_terms(rows, circuit.input, n, max_block)
-    elif method == "grouped":
-        if circuit.n > GROUPED_N_CAP:
-            raise BudgetExceeded(count, term_budget)
+    if n <= GROUPED_N_CAP:
         value = _eval_grouped(rows, circuit.input, n)
+    elif count <= DEFAULT_TERM_BUDGET:
+        value = _eval_terms(rows, circuit.input, n, max_block)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise BudgetExceeded(count, DEFAULT_TERM_BUDGET)
     if abs(value.imag) > NEG_CLAMP:
         raise ImaginaryResidual(f"probability has imaginary part {value.imag:.3e}")
-    p = value.real
+    p = float(value.real)
     if p < 0:
         if p < -NEG_CLAMP:
             raise ImaginaryResidual(f"negative probability {p:.3e}")
@@ -179,13 +162,12 @@ def _eval_grouped(rows, spec, n):
 
 
 def heisenberg_sampler(circuit: Circuit, *, max_adaptive: int = DEFAULT_MAX_ADAPTIVE,
-                       max_block: int = DEFAULT_MAX_BLOCK,
-                       method: str = "auto") -> ChainRuleSampler:
+                       max_block: int = DEFAULT_MAX_BLOCK) -> ChainRuleSampler:
     """Weak simulation by iterative conditional sampling; draw shots with
     ``pfaffian.sample_many(circuit, shots, seed, sampler=...)``."""
 
     def prob_fn(oc):
         return joint_prob_few_adaptive(circuit, oc, max_adaptive=max_adaptive,
-                                       max_block=max_block, method=method)
+                                       max_block=max_block)
 
     return ChainRuleSampler(circuit, prob_fn)

@@ -247,32 +247,20 @@ def majorana_action_table(n: int):
 
     Line 0 is the most significant bit.
     """
-    dim = 1 << n
-    idx = np.arange(dim)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column l: line l
+    signs = 1 - 2 * bits
+    # column l: the sign of the Z string on lines < l (signs square to 1)
+    zsigns = np.cumprod(signs, axis=1) * signs
     table = []
     for mu in range(2 * n):
         l = mu // 2
         mask = 1 << (n - 1 - l)
-        zmask = 0
-        for j in range(l):
-            zmask |= 1 << (n - 1 - j)
-        zsigns = 1 - 2 * (_popcount(idx & zmask) & 1)
         if mu % 2 == 0:  # X-type
-            phase = zsigns.astype(complex)
+            phase = zsigns[:, l].astype(complex)
         else:  # Y-type: <i|Y|j> = i if bit set in i else -i
-            bit = (idx & mask) > 0
-            phase = zsigns * np.where(bit, 1j, -1j)
+            phase = zsigns[:, l] * np.where(bits[:, l] > 0, 1j, -1j)
         table.append((mask, phase))
     return table
-
-
-def _popcount(a):
-    a = a.copy()
-    out = np.zeros_like(a)
-    while a.any():
-        out += a & 1
-        a >>= 1
-    return out
 
 
 def apply_majorana_sum(weights, table, psi):

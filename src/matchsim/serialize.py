@@ -59,6 +59,13 @@ def _string(value):
     return value
 
 
+def _integer(value):
+    """A count, line or parity: a JSON integer, never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 def _list(obj, key, what):
     """``obj[key]`` (default empty), which must be a JSON array."""
     value = obj.get(key, [])
@@ -113,7 +120,7 @@ def _block_from_json(obj):
         raise CircuitSyntaxError(f"input block must be an object with 'kind', got {obj!r}")
     kind = obj["kind"]
     if kind == "bits":
-        return BitsBlock(str(obj.get("value", "")))
+        return BitsBlock(_convert(obj.get("value", ""), _string, "bits block: field 'value'"))
     if kind == "product":
         states = []
         for s in _list(obj, "states", "product block"):
@@ -123,7 +130,7 @@ def _block_from_json(obj):
                                     _pair2c(s[2:], "product state")]))
         return ProductBlock(tuple(states))
     if kind == "entangled":
-        k = _convert(obj.get("k", 0), int, "entangled block: field 'k'")
+        k = _convert(obj.get("k", 0), _integer, "entangled block: field 'k'")
         amps = np.array([_pair2c(p, "entangled amps")
                          for p in _list(obj, "amps", "entangled block")])
         return EntangledBlock(k, amps)
@@ -140,7 +147,7 @@ def _guard_from_json(obj):
     if not isinstance(obj, dict):
         raise CircuitSyntaxError("guard must be an object")
     ids = frozenset(_convert(i, _string, "guard: ids") for i in _list(obj, "ids", "guard"))
-    return Guard(ids, _convert(obj.get("parity", 0), int, "guard: field 'parity'"))
+    return Guard(ids, _convert(obj.get("parity", 0), _integer, "guard: field 'parity'"))
 
 
 def _basis_to_json(basis):
@@ -195,7 +202,7 @@ def _instruction_from_json(obj, idx):
     op = obj["op"]
     where = f"program[{idx}]"
     if op == "gate":
-        line = _field(obj, "line", int, where) - 1
+        line = _field(obj, "line", _integer, where) - 1
         guard = _guard_from_json(obj["guard"]) if "guard" in obj else None
         if "angles" in obj:
             vals = obj["angles"]
@@ -213,7 +220,7 @@ def _instruction_from_json(obj, idx):
         raise CircuitSyntaxError(f"program[{idx}]: gate needs 'angles' or 'matrix'")
     if op == "measure":
         return Measure(
-            line=_field(obj, "line", int, where) - 1,
+            line=_field(obj, "line", _integer, where) - 1,
             record_id=_field(obj, "id", _string, where),
             role=str(obj.get("role", "final")),
             basis=_basis_from_json(obj.get("basis")),
@@ -248,7 +255,7 @@ def parse_circuit(text) -> Circuit:
         raise CircuitSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict):
         raise CircuitSyntaxError("top level must be a JSON object")
-    n = _field(doc, "n", int, "circuit")
+    n = _field(doc, "n", _integer, "circuit")
     blocks = [_block_from_json(b) for b in _list(doc, "input", "circuit")]
     program = [_instruction_from_json(o, i)
                for i, o in enumerate(_list(doc, "program", "circuit"))]

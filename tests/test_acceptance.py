@@ -108,7 +108,7 @@ def test_acceptance_1_differential_equivalence():
         if k <= 2:
             d_orig = run_exact(circuit) if compiled.n != circuit.n else dist
             for rec, p in d_orig.probs.items():
-                q = joint_prob_few_adaptive(circuit, dict(rec), method="grouped")
+                q = joint_prob_few_adaptive(circuit, dict(rec))
                 worst_joint = max(worst_joint, abs(p - q))
         # weak sampling TV on the final-outcome marginal (every 10th circuit,
         # keeping the suite within its runtime budget)
@@ -167,7 +167,7 @@ def test_acceptance_3_cost_law():
             oc = {f"m{j}": 0 for j in range(k)}
             oc["x0"] = 1
             stats = EvalStats()
-            joint_prob_few_adaptive(c, oc, method="grouped", stats=stats)
+            joint_prob_few_adaptive(c, oc, stats=stats)
             assert stats.term_count == (2 * n) ** (4 * k + 2), (n, k)
     print("\nPASS criterion 3: summand totals equal (2n)^(4k+2) "
           "for k in {0,1,2}, n in {3..6}")

@@ -52,6 +52,15 @@ def test_prob_identity_pattern(capsys, fswap_file):
     assert "p(01) = 1.0" in out
 
 
+def test_heisenberg_joint_prints_plain_float(capsys, tmp_path):
+    path = tmp_path / "two_finals.json"
+    path.write_text(serialize_circuit(random_mg_circuit(3, 9, seed=5, final_lines=[0, 2])))
+    code, out = run_cli(capsys, "prob", str(path), "-p", "01", "--backend", "heisenberg")
+    assert code == 0
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("p(01) = ")]
+    assert line == f"p(01) = {float(line.split(' = ')[1])!r}"
+
+
 def test_prob_all_wildcards_is_one(capsys, adaptive_file):
     code, out = run_cli(capsys, "prob", adaptive_file, "-p", "****")
     assert code == 0
@@ -324,6 +333,17 @@ _MALFORMED = [
     (_macro("plus_state", ancillas=[1], x=0.5), _EXPAND),
     (_macro("hadamard", target=1, ancilla=3), _EXPAND),
     (_macro("swap", line=[1]), _EXPAND),
+    # integer fields are JSON integers, and bits are a JSON string
+    (_gate(line=1.7, angles=[0] * 6), _PROB),
+    (_gate(line="1", angles=[0] * 6), _PROB),
+    (_gate(line=True, angles=[0] * 6), _PROB),
+    (_program({**_INTERMEDIATE, "line": 1.0}), _PROB),
+    ({"n": 2.9, "input": _BITS2, "program": [_MEASURE2]}, _PROB),
+    (_program(_INTERMEDIATE, {"op": "gate", "line": 1, "angles": [0] * 6,
+                              "guard": {"ids": ["1"], "parity": 1.5}}), _PROB),
+    (_input({"kind": "bits", "value": 10}), _PROB),
+    (_input({"kind": "bits", "value": "0"},
+            {"kind": "entangled", "k": 1.0, "amps": [[1, 0], [0, 0]]}), _PROB),
 ]
 
 

@@ -3,6 +3,8 @@ joint probabilities, cost accounting, conditional sampling."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchsim.circuit import (
     BitsBlock,
@@ -18,12 +20,14 @@ from matchsim.circuit import (
 )
 from matchsim.errors import BackendInapplicable, BudgetExceeded
 from matchsim.heisenberg import (
+    _eval_grouped,
+    _eval_terms,
     heisenberg_sampler,
     joint_prob_few_adaptive,
     strong_single_line,
 )
 from matchsim.oracle import random_mg_circuit, run_exact
-from matchsim.pfaffian import EvalStats, joint_prob_entangled, sample_many
+from matchsim.pfaffian import EvalStats, joint_prob_entangled, measurement_rows, sample_many
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
@@ -79,16 +83,48 @@ def test_hadamard_pair_circuit_joint_matches_oracle():
     c = Circuit(2, spec, prog).validate()
     dist = run_exact(c)
     for rec, p in dist.probs.items():
-        q = joint_prob_few_adaptive(c, dict(rec), method="terms")
+        q = joint_prob_few_adaptive(c, dict(rec))
         assert abs(p - q) < 1e-9
 
 
 def test_literal_and_grouped_paths_agree():
     c = random_mg_circuit(3, 12, seed=18, n_intermediate=1, final_lines=[2])
     for rec in ({"m0": 0, "x0": 0}, {"m0": 1, "x0": 1}, {"m0": 1, "x0": 0}):
-        qt = joint_prob_few_adaptive(c, dict(rec), method="terms")
-        qg = joint_prob_few_adaptive(c, dict(rec), method="grouped")
+        rows = measurement_rows(c, rec, backend="heisenberg")
+        qt = _eval_terms(rows, c.input, c.n, max_block=12)
+        qg = _eval_grouped(rows, c.input, c.n)
         assert abs(qt - qg) < 1e-12
+
+
+def test_literal_path_above_grouped_cap_returns_float():
+    # n = 17 is beyond the dense evaluation: (2n)^2 literal summands
+    c = random_mg_circuit(17, 20, seed=27, final_lines=[0])
+    for bit in (0, 1):
+        p = joint_prob_few_adaptive(c, {"x0": bit})
+        assert type(p) is float
+        assert p == pytest.approx(strong_single_line(c, 0, outcome=bit), abs=1e-10)
+
+
+@st.composite
+def _adaptive_circuits(draw):
+    n = draw(st.integers(2, 6))
+    return random_mg_circuit(n, draw(st.integers(1, 12)), seed=draw(st.integers(0, 2 ** 32 - 1)),
+                             n_intermediate=draw(st.integers(0, 2)),
+                             guard_prob=draw(st.floats(0, 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=_adaptive_circuits())
+def test_joint_matches_pfaffian_and_oracle_on_every_record(c):
+    dist = run_exact(c)
+    total = 0.0
+    for rec, p in dist.probs.items():
+        q = joint_prob_few_adaptive(c, dict(rec))
+        assert type(q) is float
+        assert abs(q - joint_prob_entangled(c, dict(rec))) < 1e-10
+        assert abs(q - p) < 1e-9
+        total += q
+    assert abs(total - 1.0) < 1e-9
 
 
 def test_term_count_formula():
@@ -98,15 +134,16 @@ def test_term_count_formula():
         stats = EvalStats()
         oc = {f"m{j}": 0 for j in range(k)}
         oc["x0"] = 0
-        joint_prob_few_adaptive(c, oc, method="grouped", stats=stats)
+        joint_prob_few_adaptive(c, oc, stats=stats)
         assert stats.term_count == (2 * n) ** (4 * k + 2)
 
 
 def test_literal_budget_enforced():
-    c = random_mg_circuit(4, 10, seed=20, n_intermediate=2, final_lines=[0])
-    with pytest.raises(BudgetExceeded):
-        joint_prob_few_adaptive(c, {"m0": 0, "m1": 0, "x0": 0}, method="terms",
-                                term_budget=1000)
+    # 34^6 summands above the dense evaluation's 16 lines
+    c = random_mg_circuit(17, 10, seed=20, n_intermediate=1, final_lines=[0])
+    with pytest.raises(BudgetExceeded) as exc:
+        joint_prob_few_adaptive(c, {"m0": 0, "x0": 0})
+    assert exc.value.count == 34 ** 6
 
 
 def test_adaptive_cap_enforced():
@@ -125,7 +162,7 @@ def test_k2_normalization_with_entangled_input():
         for y2 in (0, 1):
             for x in (0, 1):
                 total += joint_prob_few_adaptive(
-                    c, {"m0": y1, "m1": y2, "x0": x}, method="grouped")
+                    c, {"m0": y1, "m1": y2, "x0": x})
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -133,7 +170,7 @@ def test_backend_equivalence_with_pfaffian_k0():
     c = random_mg_circuit(5, 25, seed=23, input_spec=bits_input("01100"))
     for x in np.ndindex(*([2] * 5)):
         oc = {f"x{l}": int(x[l]) for l in range(5)}
-        ph = joint_prob_few_adaptive(c, oc, method="grouped")
+        ph = joint_prob_few_adaptive(c, oc)
         pp = joint_prob_entangled(c, oc)
         assert abs(ph - pp) < 1e-8
 
@@ -145,7 +182,7 @@ def test_sampling_deterministic_and_matches_oracle():
     r2 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
     assert [r.assignments for r in r1] == [r.assignments for r in r2]
     dist = run_exact(c)
-    sampler = heisenberg_sampler(c, method="grouped")
+    sampler = heisenberg_sampler(c)
     counts = {}
     shots = 3000
     for r in sample_many(c, shots, seed=2, sampler=sampler):
@@ -160,7 +197,7 @@ def test_two_adaptive_sampler_tv_at_1e5_shots():
     # empirical distribution of a 2-adaptive n=4 circuit vs the oracle
     c = random_mg_circuit(4, 18, seed=25, n_intermediate=2, final_lines=[0, 3],
                           input_spec=bits_input("0100"))
-    sampler = heisenberg_sampler(c, method="grouped")
+    sampler = heisenberg_sampler(c)
     recs = sample_many(c, 100_000, seed=12, sampler=sampler)
     dist = run_exact(c)
     counts = {}
@@ -175,5 +212,5 @@ def test_two_adaptive_sampler_tv_at_1e5_shots():
 def test_term_count_formula_multi_final():
     c = random_mg_circuit(3, 8, seed=26, n_intermediate=1, final_lines=[0, 2])
     stats = EvalStats()
-    joint_prob_few_adaptive(c, {"m0": 1, "x0": 0, "x1": 1}, method="grouped", stats=stats)
+    joint_prob_few_adaptive(c, {"m0": 1, "x0": 0, "x1": 1}, stats=stats)
     assert stats.term_count == 6 ** (4 + 2 * 2)

@@ -279,9 +279,9 @@ def test_t_matrix_conjugation_identity():
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_apply_majorana_sum_matches_matrix_action():
+@pytest.mark.parametrize("n", range(1, 6))
+def test_apply_majorana_sum_matches_matrix_action(n):
     rng = np.random.default_rng(12)
-    n = 3
     table = majorana_action_table(n)
     psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     w = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)

@@ -2,8 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matchsim.circuit import Guard, MatchgateAngles
+from matchsim.circuit import (
+    BitsBlock,
+    Circuit,
+    Computational,
+    EntangledBlock,
+    Gate,
+    Guard,
+    InputSpec,
+    MagicBlock,
+    MatchgateAngles,
+    Measure,
+    ProductBlock,
+    Tilted,
+    matchgate_from_angles,
+    matchgate_from_components,
+)
 from matchsim.errors import CircuitSyntaxError, ValidationError
 from matchsim.serialize import parse_circuit, serialize_circuit
 
@@ -135,3 +152,60 @@ def test_guard_serialization_sorted_ids():
                  Measure(0, "x", "final")))
     text = serialize_circuit(c.validate())
     assert '"ids":["a","b"]' in text
+
+
+@st.composite
+def _valid_circuits(draw):
+    """Circuits over every block kind, with angle and matrix gates, parity
+    guards on earlier intermediates, and computational and tilted bases."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def unit(dim):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return v / np.linalg.norm(v)
+
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["bits", "product", "entangled", "magic"]),
+                              min_size=1, max_size=4)):
+        if kind == "bits":
+            blocks.append(BitsBlock(draw(st.text("01", min_size=1, max_size=3))))
+        elif kind == "product":
+            blocks.append(ProductBlock(tuple(unit(2) for _ in range(draw(st.integers(1, 2))))))
+        elif kind == "entangled":
+            k = draw(st.integers(1, 2))
+            blocks.append(EntangledBlock(k, unit(2 ** k)))
+        else:
+            blocks.append(MagicBlock())
+    spec = InputSpec(tuple(blocks))
+    n = spec.n
+    bases = st.one_of(st.just(Computational()),
+                      st.builds(Tilted, st.floats(1e-3, np.pi / 4), st.floats(-np.pi, np.pi)))
+    program, inters = [], []
+    for op in draw(st.lists(st.sampled_from(["angles", "matrix", "measure"]), max_size=8)):
+        if op == "measure":
+            rid = f"m{len(inters)}"
+            program.append(Measure(int(rng.integers(n)), rid, "intermediate", draw(bases)))
+            inters.append(rid)
+            continue
+        if n < 2:
+            continue
+        guard = None
+        if inters and draw(st.booleans()):
+            guard = Guard(frozenset(draw(st.lists(st.sampled_from(inters), min_size=1,
+                                                  unique=True))), draw(st.integers(0, 1)))
+        angles = MatchgateAngles(*rng.uniform(0, 2 * np.pi, 6).tolist())
+        g = matchgate_from_angles(angles)
+        line = int(rng.integers(n - 1))
+        if op == "angles":
+            program.append(Gate(line, g, guard, angles))
+        else:
+            program.append(Gate(line, matchgate_from_components(g.a, g.b), guard, None))
+    program.append(Measure(int(rng.integers(n)), "x", "final", draw(bases)))
+    return Circuit(n, spec, tuple(program)).validate()
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=_valid_circuits())
+def test_serialization_is_byte_stable(c):
+    text = serialize_circuit(c)
+    assert serialize_circuit(parse_circuit(text)) == text
