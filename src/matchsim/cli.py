@@ -116,7 +116,7 @@ def _sum_over(records, outcomes, joint):
     return total
 
 
-def _marginal_probability(circuit, pattern, backend, max_adaptive, max_block, stats):
+def _marginal_probability(circuit, pattern, backend, max_block, stats):
     """p(pattern) marginalized over wildcards and intermediate outcomes;
     the backends' numerical-health flags accumulate in ``stats.flags``."""
     assignment = _pattern_assignment(circuit, pattern)
@@ -131,7 +131,7 @@ def _marginal_probability(circuit, pattern, backend, max_adaptive, max_block, st
             p = heisenberg.strong_single_line(circuit, line, max_block, outcome=bit)
             return p, {"terms": (2 * circuit.n) ** 2}
         total = _sum_over(inters, assignment, lambda oc: heisenberg.joint_prob_few_adaptive(
-            circuit, oc, max_adaptive=max_adaptive, max_block=max_block, stats=stats))
+            circuit, oc, max_block=max_block, stats=stats))
         return total, {"terms": stats.term_count}
     # pfaffian, summed over the compiled circuit's added records too
     work, _ = compile_circuit(circuit)
@@ -158,8 +158,7 @@ def cmd_prob(args) -> tuple[int, RunReport]:
     circuit = _read_lowered(args.circuit, "prob")
     backend = _pick_backend(args.backend, circuit, args.pattern)
     stats = pfaffian.EvalStats()
-    p, counters = _marginal_probability(circuit, args.pattern, backend,
-                                        args.max_adaptive, args.max_block, stats)
+    p, counters = _marginal_probability(circuit, args.pattern, backend, args.max_block, stats)
     report = RunReport(backend, "prob", seed=None, probabilities={args.pattern: p},
                        counters=counters, flags=stats.flags)
     return EXIT_OK, report
@@ -186,8 +185,7 @@ def cmd_sample(args) -> tuple[int, RunReport]:
         report.samples = [_format_record(list(r.bits().items()), order) for r in recs]
         report.counters["conditionals_cached"] = len(sampler.cache)
     elif backend == "heisenberg":
-        sampler = heisenberg.heisenberg_sampler(
-            circuit, max_adaptive=args.max_adaptive, max_block=args.max_block)
+        sampler = heisenberg.heisenberg_sampler(circuit, max_block=args.max_block)
         recs = pfaffian.sample_many(circuit, args.shots, args.seed, sampler=sampler)
         report.samples = [_format_record(list(r.bits().items()), order) for r in recs]
     else:
@@ -241,7 +239,7 @@ def cmd_xcheck(args) -> tuple[int, RunReport]:
         n, depth, count, seed = args.random
         if n < 2 or count < 1:
             raise ValidationError("xcheck-random", f"need N >= 2 and COUNT >= 1, got {n}, {count}")
-        inter = min(3, args.max_adaptive)
+        inter = min(3, args.max_intermediates)
         for i in range(count):
             circuits.append(
                 (f"random{i}", oracle.random_mg_circuit(
@@ -304,7 +302,6 @@ def build_parser():
                           default="auto"),
         "--seed": dict(type=natural, default=0),
         "--tol": dict(type=tolerance, default=DEFAULT_TOL),
-        "--max-adaptive": dict(type=natural, default=3),
         "--max-block": dict(type=natural, default=12),
     }
 
@@ -319,18 +316,20 @@ def build_parser():
     p.add_argument("--pattern", "-p", required=True,
                    help="final-outcome pattern over the final measurements, "
                         "e.g. 01*1 (* marginalizes)")
-    common(p, "--backend", "--max-adaptive", "--max-block")
+    common(p, "--backend", "--max-block")
 
     p = sub.add_parser("sample", help="weak simulation: sample outcome records")
     p.add_argument("circuit")
     p.add_argument("--shots", type=natural, default=1)
-    common(p, "--backend", "--seed", "--max-adaptive", "--max-block")
+    common(p, "--backend", "--seed", "--max-block")
 
     p = sub.add_parser("xcheck", help="differential check of all backends vs the oracle")
     p.add_argument("circuit", nargs="?", default=None)
     p.add_argument("--random", nargs=4, type=natural, metavar=("N", "DEPTH", "COUNT", "SEED"),
                    help="check COUNT >= 1 random circuits of N >= 2 lines instead of a file")
-    common(p, "--tol", "--max-adaptive")
+    p.add_argument("--max-adaptive", dest="max_intermediates", type=natural, default=3,
+                   metavar="K", help="random circuits get 0..min(3, K) intermediate measurements")
+    common(p, "--tol")
 
     p = sub.add_parser("gadget", help="gadget utilities")
     gsub = p.add_subparsers(dest="gadget_command", required=True)

@@ -1,9 +1,9 @@
 """Heisenberg backend.
 
 Strong simulation of single-line outputs for product/block inputs, and
-direct-summation weak simulation with a few adaptive measurements: the joint
-probability is a sum of (2n)^(4k + 2|x|) summands, each a product of T-matrix
-coefficients times an input expectation value of a Majorana-operator product.
+weak simulation with a few adaptive measurements: the joint probability is a
+sum of (2n)^(4k + 2|x|) summands, each a product of T-matrix coefficients
+times an input expectation value of a Majorana-operator product.
 """
 
 from __future__ import annotations
@@ -11,11 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit
-from .errors import (
-    BackendInapplicable,
-    BudgetExceeded,
-    ImaginaryResidual,
-)
+from .errors import BackendInapplicable, BudgetExceeded, ImaginaryResidual
 from .majorana import (
     apply_majorana_sum,
     expectation_pauli,
@@ -28,15 +24,15 @@ from .majorana import (
 from .pfaffian import (
     ChainRuleSampler,
     EvalStats,
+    _projector_rows,
     check_computational_program,
     measurement_rows,
 )
 
 IMAG_TOL = 1e-10
 NEG_CLAMP = 1e-9
-DEFAULT_MAX_ADAPTIVE = 3
 DEFAULT_MAX_BLOCK = 12
-DEFAULT_TERM_BUDGET = 400_000  # literal term-by-term evaluation cap
+DEFAULT_TERM_BUDGET = 400_000  # summand cap above GROUPED_N_CAP lines
 GROUPED_N_CAP = 16  # dense evaluation holds 2^n amplitudes
 
 
@@ -45,8 +41,8 @@ def strong_single_line(circuit: Circuit, line: int, max_block: int = DEFAULT_MAX
     """Probability that a final computational measurement of ``line`` yields
     ``outcome``, for circuits without intermediate measurements.
 
-    Evaluates p = sum_{d,e} T[k,d] T*[k,e] <psi| c_e c_d |psi> term by term;
-    each of the (2n)^2 summands factorizes over the input blocks.
+    Evaluates the projector's row pair against the (2n)^2 input expectation
+    values; each factorizes over the input blocks.
     """
     check_computational_program(circuit, "heisenberg")
     if circuit.measurements("intermediate"):
@@ -55,13 +51,7 @@ def strong_single_line(circuit: Circuit, line: int, max_block: int = DEFAULT_MAX
         raise BackendInapplicable("heisenberg", f"line {line + 1} is not measured finally")
     n = circuit.n
     t = t_from_r(segment_rotation(circuit.gates(), n))
-    row = t[line]
-    cached = _pair_expectations(circuit.input, n, max_block)
-    if outcome == 1:
-        # <(U^dag a^dag U)(U^dag a U)> : conjugated coefficient on the left factor
-        value = np.einsum("d,e,ed->", row, row.conj(), cached)
-    else:
-        value = np.einsum("d,e,de->", row, row.conj(), cached)
+    value = _eval_pair(_projector_rows(t[line], outcome), circuit.input, n, max_block)
     if abs(value.imag) > IMAG_TOL:
         raise ImaginaryResidual(f"probability has imaginary part {value.imag:.3e}")
     p = float(value.real)
@@ -80,35 +70,36 @@ def _pair_expectations(spec, n, max_block):
     return m
 
 
+def _eval_pair(rows, spec, n, max_block):
+    """p = sum_{d,e} v0[d] v1[e] <psi| c_d c_e |psi> for one projector's row
+    pair (v0, v1)."""
+    return np.einsum("d,e,de->", rows[0], rows[1], _pair_expectations(spec, n, max_block))
+
+
 def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
-                            max_adaptive: int = DEFAULT_MAX_ADAPTIVE,
                             max_block: int = DEFAULT_MAX_BLOCK,
                             stats: EvalStats | None = None) -> float:
     """Joint probability of a y-prefix plus a subset of final outcomes.
 
     The displayed sum has (2n)^(4k + 2|x|) summands, and its nominal count is
     reported in ``stats.term_count``.  Up to ``GROUPED_N_CAP`` lines it is
-    evaluated densely (``_eval_grouped``); above that, summand by summand
-    (``_eval_terms``) within ``DEFAULT_TERM_BUDGET`` summands.
+    evaluated densely (``_eval_grouped``).  Above that, ``DEFAULT_TERM_BUDGET``
+    admits at most one projector, evaluated by the single-line pair formula.
     """
     check_computational_program(circuit, "heisenberg")
     stats = stats if stats is not None else EvalStats()
-    k_assigned = sum(1 for m in circuit.measurements("intermediate")
-                     if m.record_id in outcomes)
-    if k_assigned > max_adaptive:
-        raise BackendInapplicable(
-            "heisenberg", f"{k_assigned} adaptive measurements exceed cap {max_adaptive}"
-        )
     rows = measurement_rows(circuit, outcomes, backend="heisenberg")
     n = circuit.n
     count = (2 * n) ** len(rows)
     stats.term_count += count
     if n <= GROUPED_N_CAP:
         value = _eval_grouped(rows, circuit.input, n)
-    elif count <= DEFAULT_TERM_BUDGET:
-        value = _eval_terms(rows, circuit.input, n, max_block)
-    else:
+    elif count > DEFAULT_TERM_BUDGET:
         raise BudgetExceeded(count, DEFAULT_TERM_BUDGET)
+    elif len(rows):
+        value = _eval_pair(rows, circuit.input, n, max_block)
+    else:
+        value = 1.0 + 0.0j
     if abs(value.imag) > NEG_CLAMP:
         raise ImaginaryResidual(f"probability has imaginary part {value.imag:.3e}")
     p = float(value.real)
@@ -117,37 +108,6 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
             raise ImaginaryResidual(f"negative probability {p:.3e}")
         p = 0.0
     return p
-
-
-def _eval_terms(rows, spec, n, max_block):
-    """Literal evaluation: every summand is a coefficient product times an
-    expectation value that factorizes into local operators per input block."""
-    if not len(rows):
-        return 1.0 + 0.0j
-    strings = [majorana_pauli(mu, n) for mu in range(1, 2 * n + 1)]
-    vectors = list(rows)
-    cache = {}
-    total = 0.0 + 0.0j
-
-    def expect(ps):
-        key = (ps.phase_code, ps.letters.tobytes())
-        if key not in cache:
-            cache[key] = expectation_pauli(ps, spec, max_block)
-        return cache[key]
-
-    for idx in np.ndindex(*([2 * n] * len(rows))):
-        coeff = 1.0 + 0.0j
-        for v, mu in zip(vectors, idx):
-            coeff *= v[mu]
-            if coeff == 0:
-                break
-        if coeff == 0:
-            continue
-        op = strings[idx[0]]
-        for mu in idx[1:]:
-            op = pauli_product(op, strings[mu])
-        total += coeff * expect(op)
-    return total
 
 
 def _eval_grouped(rows, spec, n):
@@ -161,13 +121,12 @@ def _eval_grouped(rows, spec, n):
     return complex(np.vdot(psi, phi))
 
 
-def heisenberg_sampler(circuit: Circuit, *, max_adaptive: int = DEFAULT_MAX_ADAPTIVE,
+def heisenberg_sampler(circuit: Circuit, *,
                        max_block: int = DEFAULT_MAX_BLOCK) -> ChainRuleSampler:
     """Weak simulation by iterative conditional sampling; draw shots with
     ``pfaffian.sample_many(circuit, shots, seed, sampler=...)``."""
 
     def prob_fn(oc):
-        return joint_prob_few_adaptive(circuit, oc, max_adaptive=max_adaptive,
-                                       max_block=max_block)
+        return joint_prob_few_adaptive(circuit, oc, max_block=max_block)
 
     return ChainRuleSampler(circuit, prob_fn)

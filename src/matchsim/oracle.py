@@ -15,6 +15,7 @@ from .circuit import (
     Circuit,
     Computational,
     Gate,
+    Guard,
     InputSpec,
     Macro,
     MatchgateAngles,
@@ -311,7 +312,7 @@ def random_mg_circuit(n, depth, seed, n_intermediate=0, input_spec=None,
         if available and rng.random() < guard_prob:
             k = int(rng.integers(1, len(available) + 1))
             ids = rng.choice(available, size=k, replace=False).tolist()
-            guard = None if not ids else _mk_guard(ids, int(rng.integers(0, 2)))
+            guard = Guard(frozenset(ids), int(rng.integers(0, 2)))
         line = int(rng.integers(0, n - 1))
         program.append(Gate(line, matchgate_from_angles(angles), guard, angles))
     while mid < n_intermediate:
@@ -323,9 +324,3 @@ def random_mg_circuit(n, depth, seed, n_intermediate=0, input_spec=None,
     for j, line in enumerate(final_lines):
         program.append(Measure(line, f"x{j}", "final"))
     return Circuit(n, input_spec, tuple(program)).validate()
-
-
-def _mk_guard(ids, parity):
-    from .circuit import Guard
-
-    return Guard(frozenset(ids), parity)

@@ -132,7 +132,12 @@ def _projector_rows(t_row, outcome):
 
 @dataclass
 class EvalStats:
-    """Cost-law counters and numerical-health flags of one evaluation run."""
+    """Cost-law counters and numerical-health flags of one evaluation run.
+
+    The Heisenberg joint fills ``term_count`` (its nominal summand count).
+    The Pfaffian joint fills ``evaluated_pairs`` (Pfaffians computed) and
+    ``flags`` (clamped imaginary and negative residuals).
+    """
 
     term_count: int = 0
     evaluated_pairs: int = 0
@@ -324,7 +329,6 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
     stats = stats if stats is not None else EvalStats()
     mids = measurement_rows(circuit, outcomes)
     n = circuit.n
-    stats.term_count += (2 * n) ** len(mids)
     h = h_matrix(n)
     amps = canon.zone_amps
     width = int(np.log2(len(amps)))

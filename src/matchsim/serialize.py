@@ -8,6 +8,7 @@ is the identity on canonical text.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -66,6 +67,16 @@ def _integer(value):
     return value
 
 
+def _real(value):
+    """An angle or amplitude part: a finite JSON number, never a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
 def _list(obj, key, what):
     """``obj[key]`` (default empty), which must be a JSON array."""
     value = obj.get(key, [])
@@ -77,7 +88,7 @@ def _list(obj, key, what):
 def _pair2c(p, what):
     if not (isinstance(p, list) and len(p) == 2):
         raise CircuitSyntaxError(f"{what}: expected [re, im] pair, got {p!r}")
-    return _convert(p, lambda re_im: complex(*re_im), what)
+    return complex(_convert(p[0], _real, what), _convert(p[1], _real, what))
 
 
 def matrix2json(m):
@@ -165,8 +176,8 @@ def _basis_from_json(obj):
     if kind == "computational":
         return Computational()
     if kind == "tilted":
-        return Tilted(_field(obj, "x", float, "tilted basis"),
-                      _convert(obj.get("phase", 0.0), float, "tilted basis: field 'phase'"))
+        return Tilted(_field(obj, "x", _real, "tilted basis"),
+                      _convert(obj.get("phase", 0.0), _real, "tilted basis: field 'phase'"))
     raise CircuitSyntaxError(f"unknown basis kind {kind!r}")
 
 
@@ -208,7 +219,7 @@ def _instruction_from_json(obj, idx):
             vals = obj["angles"]
             if not (isinstance(vals, list) and len(vals) == 6):
                 raise CircuitSyntaxError(f"program[{idx}]: angles must have 6 entries")
-            ang = MatchgateAngles(*[_convert(v, float, f"{where}.angles") for v in vals])
+            ang = MatchgateAngles(*[_convert(v, _real, f"{where}.angles") for v in vals])
             return Gate(line, matchgate_from_angles(ang), guard, ang)
         if "matrix" in obj:
             m = obj["matrix"]

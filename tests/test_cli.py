@@ -305,7 +305,13 @@ def _macro(name, n=4, **params):
             "program": [{"op": "macro", "name": name, **params}, _MEASURE2]}
 
 
+def _tilted(**basis):
+    return {"n": 2, "input": _BITS2,
+            "program": [{**_MEASURE2, "basis": {"kind": "tilted", "x": 0.5, **basis}}]}
+
+
 _PROB = ("prob", "F", "-p", "0")
+_ORACLE = (*_PROB, "--backend", "oracle")
 _EXPAND = ("gadget", "expand", "F")
 _INTERMEDIATE = {"op": "measure", "line": 1, "id": "1", "role": "intermediate",
                  "basis": {"kind": "computational"}}
@@ -344,6 +350,20 @@ _MALFORMED = [
     (_input({"kind": "bits", "value": 10}), _PROB),
     (_input({"kind": "bits", "value": "0"},
             {"kind": "entangled", "k": 1.0, "amps": [[1, 0], [0, 0]]}), _PROB),
+    # real fields are finite JSON numbers, never strings or bools
+    (_gate(angles=["0.3", 0, 0, 0, 0, True]), _ORACLE),
+    (_gate(angles=[0, 0, 0, 0, 0, True]), _ORACLE),
+    (_tilted(x="0.5"), _ORACLE),
+    (_tilted(phase=True), _ORACLE),
+    (_input({"kind": "product", "states": [[True, 0, 0, 0], [1, 0, 0, 0]]}), _ORACLE),
+    (_input({"kind": "bits", "value": "0"},
+            {"kind": "entangled", "k": 1, "amps": [[True, 0], [0, 0]]}), _ORACLE),
+    (_gate(matrix={"a": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
+                   "b": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}), _ORACLE),
+    (_tilted(phase=float("nan")), _ORACLE),
+    (_tilted(phase=float("inf")), _ORACLE),
+    (json.dumps(_tilted(phase=0.25)).replace("0.25", "1e400"), _ORACLE),
+    (_tilted(phase=float("nan")), _EXPAND),
 ]
 
 
@@ -361,7 +381,7 @@ def run_argv(capsys, argv, path="F"):
                          ids=[f"doc{i}" for i in range(len(_MALFORMED))])
 def test_malformed_document_exit_code(tmp_path, capsys, doc, argv):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out = run_argv(capsys, argv, str(path))
     assert code == 2
     assert out == ""
@@ -377,7 +397,7 @@ def test_malformed_document_exit_code(tmp_path, capsys, doc, argv):
     ["xcheck", "--random", "3", "5", "-1", "3"],
     ["xcheck", "--random", "3", "5", "2", "3", "--max-adaptive", "-1"],
     ["xcheck", "F", "--tol", "nan"],
-    ["prob", "F", "-p", "0**1", "--max-adaptive", "-1"],
+    ["prob", "F", "-p", "0**1", "--max-block", "-1"],
 ])
 def test_out_of_range_argument_exit_code(capsys, adaptive_file, argv):
     code, out = run_argv(capsys, argv, adaptive_file)
@@ -410,6 +430,8 @@ def test_negative_probability_flag_reaches_report(capsys, fswap_file, monkeypatc
     ["gadget", "expand", "F", "--seed", "4", "--tol", "9"],
     ["gadget", "expand", "F", "--max-adaptive", "2"],
     ["gadget", "expand", "F", "--max-block", "4"],
+    ["prob", "F", "-p", "0", "--max-adaptive", "2"],
+    ["sample", "F", "--max-adaptive", "2"],
 ])
 def test_unread_flag_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

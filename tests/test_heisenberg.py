@@ -1,6 +1,8 @@
 """Heisenberg backend tests: strong single-line outputs, direct-summation
 joint probabilities, cost accounting, conditional sampling."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,15 +21,11 @@ from matchsim.circuit import (
     bits_input,
 )
 from matchsim.errors import BackendInapplicable, BudgetExceeded
-from matchsim.heisenberg import (
-    _eval_grouped,
-    _eval_terms,
-    heisenberg_sampler,
-    joint_prob_few_adaptive,
-    strong_single_line,
-)
+from matchsim.cli import main
+from matchsim.heisenberg import heisenberg_sampler, joint_prob_few_adaptive, strong_single_line
 from matchsim.oracle import random_mg_circuit, run_exact
-from matchsim.pfaffian import EvalStats, joint_prob_entangled, measurement_rows, sample_many
+from matchsim.pfaffian import EvalStats, joint_prob_entangled, sample_many
+from matchsim.serialize import serialize_circuit
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
@@ -87,17 +85,8 @@ def test_hadamard_pair_circuit_joint_matches_oracle():
         assert abs(p - q) < 1e-9
 
 
-def test_literal_and_grouped_paths_agree():
-    c = random_mg_circuit(3, 12, seed=18, n_intermediate=1, final_lines=[2])
-    for rec in ({"m0": 0, "x0": 0}, {"m0": 1, "x0": 1}, {"m0": 1, "x0": 0}):
-        rows = measurement_rows(c, rec, backend="heisenberg")
-        qt = _eval_terms(rows, c.input, c.n, max_block=12)
-        qg = _eval_grouped(rows, c.input, c.n)
-        assert abs(qt - qg) < 1e-12
-
-
 def test_literal_path_above_grouped_cap_returns_float():
-    # n = 17 is beyond the dense evaluation: (2n)^2 literal summands
+    # n = 17 is beyond the dense evaluation: one projector's (2n)^2 summands
     c = random_mg_circuit(17, 20, seed=27, final_lines=[0])
     for bit in (0, 1):
         p = joint_prob_few_adaptive(c, {"x0": bit})
@@ -146,12 +135,21 @@ def test_literal_budget_enforced():
     assert exc.value.count == 34 ** 6
 
 
-def test_adaptive_cap_enforced():
-    c = random_mg_circuit(4, 10, seed=21, n_intermediate=4, final_lines=[0])
-    oc = {f"m{j}": 0 for j in range(4)}
-    oc["x0"] = 0
-    with pytest.raises(BackendInapplicable):
-        joint_prob_few_adaptive(c, oc, max_adaptive=3)
+def test_four_adaptive_joint_matches_pfaffian_and_oracle(tmp_path, capsys):
+    # no cap on the number of assigned intermediates: the dense evaluation is
+    # linear in the number of projector rows
+    c = random_mg_circuit(5, 20, seed=21, n_intermediate=4, final_lines=[0, 3])
+    for rec, p in run_exact(c).probs.items():
+        q = joint_prob_few_adaptive(c, dict(rec))
+        assert abs(q - joint_prob_entangled(c, dict(rec))) < 1e-10
+        assert abs(q - p) < 1e-9
+    path = tmp_path / "four_adaptive.json"
+    path.write_text(serialize_circuit(c))
+    printed = {}
+    for backend in ("heisenberg", "pfaffian"):
+        assert main(["prob", str(path), "-p", "01", "--backend", backend, "--json"]) == 0
+        printed[backend] = json.loads(capsys.readouterr().out)["probabilities"]["01"]
+    assert abs(printed["heisenberg"] - printed["pfaffian"]) < 1e-10
 
 
 def test_k2_normalization_with_entangled_input():

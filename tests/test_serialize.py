@@ -1,8 +1,10 @@
 """Circuit file round-trip and error reporting."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from matchsim.circuit import (
@@ -21,6 +23,7 @@ from matchsim.circuit import (
     matchgate_from_angles,
     matchgate_from_components,
 )
+from matchsim.cli import main
 from matchsim.errors import CircuitSyntaxError, ValidationError
 from matchsim.serialize import parse_circuit, serialize_circuit
 
@@ -209,3 +212,42 @@ def _valid_circuits(draw):
 def test_serialization_is_byte_stable(c):
     text = serialize_circuit(c)
     assert serialize_circuit(parse_circuit(text)) == text
+
+
+def _numeric_leaves(node, path=()):
+    """Paths of the JSON numbers in a document, bools excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in items:
+        yield from _numeric_leaves(child, (*path, key))
+
+
+_NOT_A_NUMBER = ["text", "array", True, False, None, float("nan"), float("inf")]
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(c=_valid_circuits(), data=st.data())
+def test_non_number_leaf_exits_2(tmp_path, capsys, c, data):
+    """Every number of a valid document replaced by its decimal text, a
+    bool, null, a non-finite value or a one-element array is malformed."""
+    doc = json.loads(serialize_circuit(c))
+    *parents, key = data.draw(st.sampled_from(list(_numeric_leaves(doc))))
+    node = doc
+    for step in parents:
+        node = node[step]
+    new = data.draw(st.sampled_from(_NOT_A_NUMBER))
+    node[key] = str(node[key]) if new == "text" else [node[key]] if new == "array" else new
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    finals = len(c.measurements("final"))
+    for argv in (["prob", str(path), "-p", "0" * finals, "--backend", "oracle"],
+                 ["gadget", "expand", str(path)]):
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == (2, "")
