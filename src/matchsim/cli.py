@@ -22,6 +22,9 @@ from .gadgets import compile_circuit, expand_macros
 from .serialize import parse_circuit, serialize_circuit
 
 DEFAULT_TOL = 1e-7
+# xcheck skips the Heisenberg joint above this many intermediates: on n = 6 with 3
+# it takes 0.18-0.42 s (2-core host), 2-3x what the rest of the check takes.
+XCHECK_HEISENBERG_INTERMEDIATES = 2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -116,7 +119,7 @@ def _sum_over(records, outcomes, joint):
     return total
 
 
-def _marginal_probability(circuit, pattern, backend, max_block, stats):
+def _marginal_probability(circuit, pattern, backend, stats):
     """p(pattern) marginalized over wildcards and intermediate outcomes;
     the backends' numerical-health flags accumulate in ``stats.flags``."""
     assignment = _pattern_assignment(circuit, pattern)
@@ -128,10 +131,10 @@ def _marginal_probability(circuit, pattern, backend, max_block, stats):
         if not inters and len(assignment) == 1:
             ((rid, bit),) = assignment.items()
             line = next(m.line for m in circuit.measurements("final") if m.record_id == rid)
-            p = heisenberg.strong_single_line(circuit, line, max_block, outcome=bit)
+            p = heisenberg.strong_single_line(circuit, line, outcome=bit)
             return p, {"terms": (2 * circuit.n) ** 2}
         total = _sum_over(inters, assignment, lambda oc: heisenberg.joint_prob_few_adaptive(
-            circuit, oc, max_block=max_block, stats=stats))
+            circuit, oc, stats=stats))
         return total, {"terms": stats.term_count}
     # pfaffian, summed over the compiled circuit's added records too
     work, _ = compile_circuit(circuit)
@@ -141,11 +144,10 @@ def _marginal_probability(circuit, pattern, backend, max_block, stats):
     return total, {"pfaffian_evals": stats.evaluated_pairs}
 
 
-def _pick_backend(requested, circuit, pattern=None):
+def _pick_backend(requested, circuit, pattern):
     if requested != "auto":
         return requested
-    nonwild = None if pattern is None else sum(1 for ch in pattern if ch != "*")
-    if not _intermediate_records(circuit) and nonwild == 1:
+    if not _intermediate_records(circuit) and sum(ch != "*" for ch in pattern) == 1:
         try:
             pfaffian.check_computational_program(circuit, "heisenberg")
             return "heisenberg"
@@ -158,7 +160,7 @@ def cmd_prob(args) -> tuple[int, RunReport]:
     circuit = _read_lowered(args.circuit, "prob")
     backend = _pick_backend(args.backend, circuit, args.pattern)
     stats = pfaffian.EvalStats()
-    p, counters = _marginal_probability(circuit, args.pattern, backend, args.max_block, stats)
+    p, counters = _marginal_probability(circuit, args.pattern, backend, stats)
     report = RunReport(backend, "prob", seed=None, probabilities={args.pattern: p},
                        counters=counters, flags=stats.flags)
     return EXIT_OK, report
@@ -185,7 +187,7 @@ def cmd_sample(args) -> tuple[int, RunReport]:
         report.samples = [_format_record(list(r.bits().items()), order) for r in recs]
         report.counters["conditionals_cached"] = len(sampler.cache)
     elif backend == "heisenberg":
-        sampler = heisenberg.heisenberg_sampler(circuit, max_block=args.max_block)
+        sampler = heisenberg.heisenberg_sampler(circuit)
         recs = pfaffian.sample_many(circuit, args.shots, args.seed, sampler=sampler)
         report.samples = [_format_record(list(r.bits().items()), order) for r in recs]
     else:
@@ -220,8 +222,9 @@ def _xcheck_one(circuit):
         wdist, lambda oc: pfaffian.joint_prob_entangled(work, oc, stats))}
     flags = stats.flags
     # heisenberg where applicable
-    if len(_intermediate_records(circuit)) > 2:
-        flags.append("heisenberg skipped: adaptive count above cap")
+    if len(_intermediate_records(circuit)) > XCHECK_HEISENBERG_INTERMEDIATES:
+        flags.append("heisenberg skipped: more than "
+                     f"{XCHECK_HEISENBERG_INTERMEDIATES} intermediate measurements")
         return devs, flags
     try:
         devs["heisenberg"] = _deviation(
@@ -239,11 +242,11 @@ def cmd_xcheck(args) -> tuple[int, RunReport]:
         n, depth, count, seed = args.random
         if n < 2 or count < 1:
             raise ValidationError("xcheck-random", f"need N >= 2 and COUNT >= 1, got {n}, {count}")
-        inter = min(3, args.max_intermediates)
+        oracle.check_width(n)
         for i in range(count):
             circuits.append(
-                (f"random{i}", oracle.random_mg_circuit(
-                    n, depth, seed=seed + i, n_intermediate=(i % (inter + 1))))
+                (f"random{i}", oracle.random_mg_circuit(n, depth, seed=seed + i,
+                                                        n_intermediate=i % 4))
             )
     report = RunReport("xcheck", "xcheck", seed=None)
     worst = 0.0
@@ -302,7 +305,6 @@ def build_parser():
                           default="auto"),
         "--seed": dict(type=natural, default=0),
         "--tol": dict(type=tolerance, default=DEFAULT_TOL),
-        "--max-block": dict(type=natural, default=12),
     }
 
     def common(p, *names):
@@ -316,19 +318,18 @@ def build_parser():
     p.add_argument("--pattern", "-p", required=True,
                    help="final-outcome pattern over the final measurements, "
                         "e.g. 01*1 (* marginalizes)")
-    common(p, "--backend", "--max-block")
+    common(p, "--backend")
 
     p = sub.add_parser("sample", help="weak simulation: sample outcome records")
     p.add_argument("circuit")
     p.add_argument("--shots", type=natural, default=1)
-    common(p, "--backend", "--seed", "--max-block")
+    common(p, "--backend", "--seed")
 
     p = sub.add_parser("xcheck", help="differential check of all backends vs the oracle")
     p.add_argument("circuit", nargs="?", default=None)
     p.add_argument("--random", nargs=4, type=natural, metavar=("N", "DEPTH", "COUNT", "SEED"),
-                   help="check COUNT >= 1 random circuits of N >= 2 lines instead of a file")
-    p.add_argument("--max-adaptive", dest="max_intermediates", type=natural, default=3,
-                   metavar="K", help="random circuits get 0..min(3, K) intermediate measurements")
+                   help="check COUNT >= 1 random circuits of N >= 2 lines instead of a file; "
+                        "circuit i has i %% 4 intermediate measurements")
     common(p, "--tol")
 
     p = sub.add_parser("gadget", help="gadget utilities")

@@ -53,6 +53,7 @@ XX_PAIR = matchgate_from_components(X2, X2)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 ANGLE_EPS = 1e-12
+PLUS_FAILURE_EPS = 1e-6  # failure probability of the default |+> attempt budget
 # residual tolerances of the unitary decompositions
 DECOMP_TOL = 1e-10  # unitarity, Euler angles, canonical reconstruction
 FORM_TOL = 1e-9  # the P H P form and the tensor-product split
@@ -595,8 +596,8 @@ def plus_gadget_success_probability(x):
     return float(np.sin(2 * x) ** 2)
 
 
-def default_plus_attempts(x, eps=1e-6):
-    return int(np.ceil(np.log(1 / eps) / plus_gadget_success_probability(x)))
+def default_plus_attempts(x):
+    return int(np.ceil(np.log(1 / PLUS_FAILURE_EPS) / plus_gadget_success_probability(x)))
 
 
 def plus_state_gadget(x, a1, a2, ids: IdGen):
@@ -635,14 +636,14 @@ def plus_state_gadget(x, a1, a2, ids: IdGen):
     return exp, (t1, t2, m)
 
 
-def run_plus_state_gadget(x, seed, max_attempts=None, eps=1e-6):
+def run_plus_state_gadget(x, seed, max_attempts=None):
     """Drive the repeat-until-success loop on the dense oracle.
 
     Returns (attempts_used, final_two_line_state) with |+> on the second
     line; raises MaxAttemptsExceeded when the budget runs out."""
     from .oracle import StateVector
 
-    budget = max_attempts if max_attempts is not None else default_plus_attempts(x, eps)
+    budget = max_attempts if max_attempts is not None else default_plus_attempts(x)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ids = IdGen()
     state = StateVector(2, np.array([1, 0, 0, 0], dtype=complex))

@@ -31,13 +31,11 @@ from .pfaffian import (
 
 IMAG_TOL = 1e-10
 NEG_CLAMP = 1e-9
-DEFAULT_MAX_BLOCK = 12
 DEFAULT_TERM_BUDGET = 400_000  # summand cap above GROUPED_N_CAP lines
 GROUPED_N_CAP = 16  # dense evaluation holds 2^n amplitudes
 
 
-def strong_single_line(circuit: Circuit, line: int, max_block: int = DEFAULT_MAX_BLOCK,
-                       outcome: int = 1) -> float:
+def strong_single_line(circuit: Circuit, line: int, outcome: int = 1) -> float:
     """Probability that a final computational measurement of ``line`` yields
     ``outcome``, for circuits without intermediate measurements.
 
@@ -51,7 +49,7 @@ def strong_single_line(circuit: Circuit, line: int, max_block: int = DEFAULT_MAX
         raise BackendInapplicable("heisenberg", f"line {line + 1} is not measured finally")
     n = circuit.n
     t = t_from_r(segment_rotation(circuit.gates(), n))
-    value = _eval_pair(_projector_rows(t[line], outcome), circuit.input, n, max_block)
+    value = _eval_pair(_projector_rows(t[line], outcome), circuit.input, n)
     if abs(value.imag) > IMAG_TOL:
         raise ImaginaryResidual(f"probability has imaginary part {value.imag:.3e}")
     p = float(value.real)
@@ -60,24 +58,23 @@ def strong_single_line(circuit: Circuit, line: int, max_block: int = DEFAULT_MAX
     return min(max(p, 0.0), 1.0)
 
 
-def _pair_expectations(spec, n, max_block):
+def _pair_expectations(spec, n):
     """M[mu, nu] = <psi| c_mu c_nu |psi> for all Majorana index pairs."""
     strings = [majorana_pauli(mu, n) for mu in range(1, 2 * n + 1)]
     m = np.empty((2 * n, 2 * n), dtype=complex)
     for i, si in enumerate(strings):
         for j, sj in enumerate(strings):
-            m[i, j] = expectation_pauli(pauli_product(si, sj), spec, max_block)
+            m[i, j] = expectation_pauli(pauli_product(si, sj), spec)
     return m
 
 
-def _eval_pair(rows, spec, n, max_block):
+def _eval_pair(rows, spec, n):
     """p = sum_{d,e} v0[d] v1[e] <psi| c_d c_e |psi> for one projector's row
     pair (v0, v1)."""
-    return np.einsum("d,e,de->", rows[0], rows[1], _pair_expectations(spec, n, max_block))
+    return np.einsum("d,e,de->", rows[0], rows[1], _pair_expectations(spec, n))
 
 
 def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
-                            max_block: int = DEFAULT_MAX_BLOCK,
                             stats: EvalStats | None = None) -> float:
     """Joint probability of a y-prefix plus a subset of final outcomes.
 
@@ -97,7 +94,7 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
     elif count > DEFAULT_TERM_BUDGET:
         raise BudgetExceeded(count, DEFAULT_TERM_BUDGET)
     elif len(rows):
-        value = _eval_pair(rows, circuit.input, n, max_block)
+        value = _eval_pair(rows, circuit.input, n)
     else:
         value = 1.0 + 0.0j
     if abs(value.imag) > NEG_CLAMP:
@@ -121,12 +118,7 @@ def _eval_grouped(rows, spec, n):
     return complex(np.vdot(psi, phi))
 
 
-def heisenberg_sampler(circuit: Circuit, *,
-                       max_block: int = DEFAULT_MAX_BLOCK) -> ChainRuleSampler:
+def heisenberg_sampler(circuit: Circuit) -> ChainRuleSampler:
     """Weak simulation by iterative conditional sampling; draw shots with
     ``pfaffian.sample_many(circuit, shots, seed, sampler=...)``."""
-
-    def prob_fn(oc):
-        return joint_prob_few_adaptive(circuit, oc, max_block=max_block)
-
-    return ChainRuleSampler(circuit, prob_fn)
+    return ChainRuleSampler(circuit, lambda oc: joint_prob_few_adaptive(circuit, oc))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BitsBlock, EntangledBlock, InputSpec, MagicBlock, ProductBlock
+from .circuit import BitsBlock, InputSpec, ProductBlock
 from .errors import BlockTooLarge, NonRealResidual
 
 REAL_TOL = 1e-10
@@ -125,11 +125,14 @@ def _dense_factor(letters, state) -> complex:
     return complex(np.vdot(state.reshape(-1), v.reshape(-1)))
 
 
-def expectation_pauli(ps: PauliString, spec: InputSpec, max_block: int = 12) -> complex:
+BLOCK_CAP = 12  # widest entangled block expanded densely
+
+
+def expectation_pauli(ps: PauliString, spec: InputSpec) -> complex:
     """<spec| ps |spec>, factorized over the input blocks.
 
     Each entangled block costs a dense contraction of size 2^k, so block
-    widths above ``max_block`` are rejected.
+    widths above ``BLOCK_CAP`` are rejected.
     """
     value = complex(ps.phase)
     pos = 0
@@ -146,9 +149,9 @@ def expectation_pauli(ps: PauliString, spec: InputSpec, max_block: int = 12) -> 
                 if code:
                     f *= np.vdot(s, PAULI_MATS[code] @ s)
         else:
-            if block.n > max_block:
+            if block.n > BLOCK_CAP:
                 raise BlockTooLarge(
-                    f"entangled block of width {block.n} exceeds cap {max_block}"
+                    f"entangled block of width {block.n} exceeds cap {BLOCK_CAP}"
                 )
             f = _dense_factor(letters, block.state())
         value *= f

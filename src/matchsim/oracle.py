@@ -7,7 +7,7 @@ circuits, post-selection, and fidelity utilities.  Exponential in n, capped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,11 @@ from .circuit import (
     bits_input,
     matchgate_from_angles,
 )
-from .errors import CapExceeded, UnresolvedGuard, ValidationError, ZeroConditionMass
+from .errors import CapExceeded, ValidationError, ZeroConditionMass
 
 DEFAULT_N_CAP = 14
 HARD_N_CAP = 20
-DEFAULT_BRANCH_CAP = 20
+BRANCH_CAP = 20
 PRUNE_EPS = 1e-12
 
 SWAP4 = np.array(
@@ -77,7 +77,7 @@ class StateVector:
         a1 = np.tensordot(v1.conj(), view, axes=([0], [1]))
         return float(np.sum(np.abs(a0) ** 2)), float(np.sum(np.abs(a1) ** 2))
 
-    def collapse(self, line: int, outcome: int, basis=None, renormalize=True) -> float:
+    def collapse(self, line: int, outcome: int, basis=None) -> float:
         """Project ``line`` onto ``outcome``; returns the branch probability."""
         n = self.n
         view = self.amps.reshape(1 << line, 2, 1 << (n - line - 1))
@@ -92,7 +92,7 @@ class StateVector:
             view[:, 0, :] = v[0] * amp
             view[:, 1, :] = v[1] * amp
         p = float(np.sum(np.abs(self.amps) ** 2))
-        if renormalize and p > 0:
+        if p > 0:
             self.amps /= np.sqrt(p)
         return p
 
@@ -114,7 +114,6 @@ class BranchDistribution:
     """Joint distribution over full outcome records (intermediate + final)."""
 
     probs: dict  # tuple of (record_id, bit) -> probability
-    pruned_mass: float = 0.0
     record_order: tuple = ()
 
     def total(self) -> float:
@@ -140,12 +139,10 @@ class BranchDistribution:
         return tot
 
 
-def _check_caps(circuit: Circuit, n_cap, branch_cap):
-    if circuit.n > min(n_cap, HARD_N_CAP):
-        raise CapExceeded(f"n={circuit.n} exceeds oracle cap {min(n_cap, HARD_N_CAP)}")
-    k = len(circuit.measurements("intermediate"))
-    if k > branch_cap:
-        raise CapExceeded(f"{k} intermediate measurements exceed branch cap {branch_cap}")
+def check_width(n, n_cap=DEFAULT_N_CAP):
+    """Raise CapExceeded when ``n`` lines are beyond the dense state vector."""
+    if n > min(n_cap, HARD_N_CAP):
+        raise CapExceeded(f"n={n} exceeds oracle cap {min(n_cap, HARD_N_CAP)}")
 
 
 def _macro_unitary(ins: Macro, n):
@@ -154,18 +151,19 @@ def _macro_unitary(ins: Macro, n):
     raise ValidationError("macro", f"oracle cannot execute macro {ins.name!r}")
 
 
-def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, branch_cap=DEFAULT_BRANCH_CAP,
-                  prune=PRUNE_EPS, allow_swap_macros=False, pruned_acc=None):
+def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, allow_swap_macros=False):
     """Depth-first enumeration over intermediate measurement outcomes.
 
     Yields (records, probability, state) per branch, with ``state`` the
     normalized state after the whole program excluding final measurements.
-    With ``allow_swap_macros`` the (non-matchgate) SWAP pseudo-gate is applied
-    literally; other macros are rejected.  Pruned branch mass is added to
-    ``pruned_acc[0]`` when a one-element list is passed.
+    Branches of probability at most ``PRUNE_EPS`` are dropped.  With
+    ``allow_swap_macros`` the (non-matchgate) SWAP pseudo-gate is applied
+    literally; other macros are rejected.
     """
-    _check_caps(circuit, n_cap, branch_cap)
-    pruned = pruned_acc if pruned_acc is not None else [0.0]
+    check_width(circuit.n, n_cap)
+    k = len(circuit.measurements("intermediate"))
+    if k > BRANCH_CAP:
+        raise CapExceeded(f"{k} intermediate measurements exceed branch cap {BRANCH_CAP}")
 
     def walk(pos, state, records, prob):
         for i in range(pos, len(circuit.program)):
@@ -182,8 +180,7 @@ def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, branch_cap=DEFAULT_BRAN
                 probs = state.measure_probabilities(ins.line, ins.basis)
                 for outcome in (0, 1):
                     p = probs[outcome]
-                    if p * prob <= prune:
-                        pruned[0] += p * prob
+                    if p * prob <= PRUNE_EPS:
                         continue
                     child = state.copy()
                     child.collapse(ins.line, outcome, ins.basis)
@@ -197,8 +194,8 @@ def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, branch_cap=DEFAULT_BRAN
     yield from walk(0, start, (), 1.0)
 
 
-def run_exact(circuit: Circuit, n_cap=DEFAULT_N_CAP, branch_cap=DEFAULT_BRANCH_CAP,
-              prune=PRUNE_EPS, allow_swap_macros=False) -> BranchDistribution:
+def run_exact(circuit: Circuit, n_cap=DEFAULT_N_CAP,
+              allow_swap_macros=False) -> BranchDistribution:
     """Exact joint distribution over all measurement records.
 
     Final computational-basis measurements on distinct lines are expanded
@@ -208,10 +205,7 @@ def run_exact(circuit: Circuit, n_cap=DEFAULT_N_CAP, branch_cap=DEFAULT_BRANCH_C
     finals = [m for m in circuit.program if isinstance(m, Measure) and m.role == "final"]
     order = tuple(m.record_id for m in circuit.measurements())
     probs = {}
-    pruned = [0.0]
-    for records, prob, state in branch_states(
-        circuit, n_cap, branch_cap, prune, allow_swap_macros, pruned_acc=pruned
-    ):
+    for records, prob, state in branch_states(circuit, n_cap, allow_swap_macros):
         stack = [(records, prob, state, 0)]
         while stack:
             rec, pr, st, fi = stack.pop()
@@ -223,13 +217,12 @@ def run_exact(circuit: Circuit, n_cap=DEFAULT_N_CAP, branch_cap=DEFAULT_BRANCH_C
             m = finals[fi]
             p0, p1 = st.measure_probabilities(m.line, m.basis)
             for outcome, p in ((0, p0), (1, p1)):
-                if p * pr <= prune:
-                    pruned[0] += p * pr
+                if p * pr <= PRUNE_EPS:
                     continue
                 child = st.copy()
                 child.collapse(m.line, outcome, m.basis)
                 stack.append((rec + ((m.record_id, outcome),), pr * p, child, fi + 1))
-    return BranchDistribution(probs, pruned[0], order)
+    return BranchDistribution(probs, order)
 
 
 def _accumulate_computational(probs, state, finals, records, prob):
@@ -254,7 +247,7 @@ def _accumulate_computational(probs, state, finals, records, prob):
 
 
 def post_select(dist: BranchDistribution, constraints: dict) -> BranchDistribution:
-    """Condition on record_id -> bit constraints and renormalize."""
+    """Condition on record_id -> bit constraints; the kept mass is rescaled to 1."""
     for rid in constraints:
         if rid not in dist.record_order:
             raise ValidationError("post-select", f"unknown record {rid!r}")
@@ -262,15 +255,13 @@ def post_select(dist: BranchDistribution, constraints: dict) -> BranchDistributi
     for rec, p in dist.probs.items():
         d = dict(rec)
         if all(d.get(k) == v for k, v in constraints.items()):
-            kept[tuple(kv for kv in rec if kv[0] not in constraints)] = (
-                kept.get(tuple(kv for kv in rec if kv[0] not in constraints), 0.0) + p
-            )
+            key = tuple(kv for kv in rec if kv[0] not in constraints)
+            kept[key] = kept.get(key, 0.0) + p
     mass = sum(kept.values())
     if mass <= PRUNE_EPS:
         raise ZeroConditionMass(f"conditioned mass {mass:.3e} below threshold")
     return BranchDistribution(
         {k: v / mass for k, v in kept.items()},
-        dist.pruned_mass,
         tuple(r for r in dist.record_order if r not in constraints),
     )
 
@@ -282,7 +273,13 @@ def sample_distribution(dist: BranchDistribution, shots: int, seed: int):
     p = np.clip(p, 0, None)
     p = p / p.sum()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    draws = rng.choice(len(keys), size=shots, p=p)
+    # the size numpy refuses, checked first since choice also rejects a bad p
+    if shots > np.iinfo(np.intp).max // p.itemsize:
+        raise CapExceeded(f"{shots} shots exceed the largest table numpy allocates")
+    try:
+        draws = rng.choice(len(keys), size=shots, p=p)
+    except MemoryError as exc:
+        raise CapExceeded(f"no memory for {shots} shots") from exc
     return [keys[i] for i in draws]
 
 

@@ -27,6 +27,7 @@ from .circuit import (
 from .errors import (
     BackendInapplicable,
     BlockTooLarge,
+    CapExceeded,
     NotSkew,
     ZeroProbabilityPrefix,
 )
@@ -429,7 +430,9 @@ def sample_many(circuit: Circuit, shots: int, seed: int,
     across workers.
     """
     sampler = sampler or ChainRuleSampler(circuit)
-    rows = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(
-        (shots, max(1, len(sampler.order)))
-    )
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    try:
+        rows = rng.random((shots, max(1, len(sampler.order))))
+    except (ValueError, MemoryError) as exc:  # numpy refuses a table of this shape
+        raise CapExceeded(f"no table of {shots} shots: {exc}") from exc
     return [sampler.sample(row) for row in rows]

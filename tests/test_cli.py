@@ -273,6 +273,8 @@ def _wide_zone(width):
     (_final_doc(16, [{"kind": "bits", "value": "0" * 16}], [1]), ["-p", "0", "--backend", "oracle"]),
     # BlockTooLarge: a width-15 zone on the Pfaffian backend
     (_final_doc(15, _wide_zone(15), [1]), ["-p", "0", "--backend", "pfaffian"]),
+    # BlockTooLarge: a width-13 block beyond the fixed Heisenberg block-width cap
+    (_final_doc(13, _wide_zone(13), [1]), ["-p", "0", "--backend", "heisenberg"]),
 ])
 def test_capacity_errors_exit_inapplicable(tmp_path, capsys, doc, argv):
     path = tmp_path / "big.json"
@@ -395,13 +397,25 @@ def test_malformed_document_exit_code(tmp_path, capsys, doc, argv):
     ["xcheck", "--random", "3", "-5", "2", "3"],
     ["xcheck", "--random", "3", "5", "2", "-3"],
     ["xcheck", "--random", "3", "5", "-1", "3"],
-    ["xcheck", "--random", "3", "5", "2", "3", "--max-adaptive", "-1"],
+    ["xcheck", "--random", "3", "5", "0", "3"],
     ["xcheck", "F", "--tol", "nan"],
-    ["prob", "F", "-p", "0**1", "--max-block", "-1"],
 ])
 def test_out_of_range_argument_exit_code(capsys, adaptive_file, argv):
     code, out = run_argv(capsys, argv, adaptive_file)
     assert code == 2
+    assert out == ""
+
+
+# counts numpy refuses before allocating anything; never a count it would try
+@pytest.mark.parametrize("argv", [
+    *(["sample", "F", "--shots", str(shots), "--backend", backend]
+      for shots in (10 ** 20, 2 ** 63) for backend in ("pfaffian", "heisenberg", "oracle")),
+    ["xcheck", "--random", str(2 ** 63), "5", "2", "3"],
+    ["xcheck", "--random", "15", "5", "2", "3"],
+])
+def test_absurd_count_exits_inapplicable(capsys, adaptive_file, argv):
+    code, out = run_argv(capsys, argv, adaptive_file)
+    assert code == 3
     assert out == ""
 
 
@@ -432,6 +446,9 @@ def test_negative_probability_flag_reaches_report(capsys, fswap_file, monkeypatc
     ["gadget", "expand", "F", "--max-block", "4"],
     ["prob", "F", "-p", "0", "--max-adaptive", "2"],
     ["sample", "F", "--max-adaptive", "2"],
+    ["prob", "F", "-p", "0", "--max-block", "4"],
+    ["sample", "F", "--max-block", "4"],
+    ["xcheck", "F", "--max-adaptive", "2"],
 ])
 def test_unread_flag_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

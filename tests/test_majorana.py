@@ -156,7 +156,7 @@ def test_block_cap_enforced():
     spec = InputSpec((EntangledBlock(13, amps),))
     ps = majorana_pauli(1, 13)
     with pytest.raises(BlockTooLarge):
-        expectation_pauli(ps, spec, max_block=12)
+        expectation_pauli(ps, spec)
 
 
 def test_vacuum_two_point_function_equals_h():

@@ -185,6 +185,8 @@ def test_fidelity_on_lines():
 def test_caps_enforced():
     with pytest.raises(CapExceeded):
         run_exact(random_mg_circuit(3, 2, seed=1), n_cap=2)
+    with pytest.raises(CapExceeded):
+        run_exact(random_mg_circuit(3, 2, seed=1, n_intermediate=21))
 
 
 def test_random_circuit_determinism_and_validity():

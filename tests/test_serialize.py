@@ -251,3 +251,46 @@ def test_non_number_leaf_exits_2(tmp_path, capsys, c, data):
                  ["gadget", "expand", str(path)]):
         code = main(argv)
         assert (code, capsys.readouterr().out) == (2, "")
+
+
+def _paths(node, path=()):
+    """Path of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+_REPLACEMENTS = [{}, [], "x", None, True, 1.5, -1, [[]]]
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(c=_valid_circuits(), data=st.data())
+def test_structural_mutation_keeps_exit_contract(tmp_path, capsys, c, data):
+    """One value of a valid document dropped, wrapped in a one-element array
+    or replaced by another JSON shape: every command exits 0, 2 or 3, and
+    prints nothing unless it exits 0."""
+    doc = json.loads(serialize_circuit(c))
+    *parents, key = data.draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for step in parents:
+        node = node[step]
+    mutation = data.draw(st.sampled_from(["drop", "wrap", *_REPLACEMENTS]))
+    if mutation == "drop":
+        del node[key]
+    elif mutation == "wrap":
+        node[key] = [node[key]]
+    else:
+        node[key] = mutation
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    zeros = "0" * len(c.measurements("final"))
+    for argv in (["prob", str(path), "-p", zeros, "--backend", "oracle"],
+                 ["prob", str(path), "-p", zeros],
+                 ["gadget", "expand", str(path)]):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3)
+        assert code == 0 or out == ""
