@@ -17,7 +17,7 @@ import numpy as np
 
 from . import heisenberg, oracle, pfaffian
 from .circuit import Circuit
-from .errors import BackendInapplicable, Inapplicable, MatchsimError, ValidationError
+from .errors import BackendInapplicable, CapExceeded, Inapplicable, MatchsimError, ValidationError
 from .gadgets import compile_circuit, expand_macros
 from .serialize import parse_circuit, serialize_circuit
 
@@ -25,6 +25,9 @@ DEFAULT_TOL = 1e-7
 # xcheck skips the Heisenberg joint above this many intermediates: on n = 6 with 3
 # it takes 0.18-0.42 s (2-core host), 2-3x what the rest of the check takes.
 XCHECK_HEISENBERG_INTERMEDIATES = 2
+# xcheck --random refuses DEPTH x COUNT above this many gates before it builds
+# a circuit; it builds them one at a time, and one holds at most this many
+XCHECK_RANDOM_GATES = 10 ** 5
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -235,19 +238,19 @@ def _xcheck_one(circuit):
 
 
 def cmd_xcheck(args) -> tuple[int, RunReport]:
-    circuits = []
     if args.circuit:
-        circuits.append(("file", _read_lowered(args.circuit, "xcheck")))
+        circuits, count = [("file", _read_lowered(args.circuit, "xcheck"))], 1
     else:
         n, depth, count, seed = args.random
         if n < 2 or count < 1:
             raise ValidationError("xcheck-random", f"need N >= 2 and COUNT >= 1, got {n}, {count}")
         oracle.check_width(n)
-        for i in range(count):
-            circuits.append(
-                (f"random{i}", oracle.random_mg_circuit(n, depth, seed=seed + i,
-                                                        n_intermediate=i % 4))
-            )
+        if depth * count > XCHECK_RANDOM_GATES:
+            raise CapExceeded(f"DEPTH x COUNT = {depth * count} random gates exceeds cap "
+                              f"{XCHECK_RANDOM_GATES}")
+        circuits = ((f"random{i}", oracle.random_mg_circuit(n, depth, seed=seed + i,
+                                                           n_intermediate=i % 4))
+                    for i in range(count))
     report = RunReport("xcheck", "xcheck", seed=None)
     worst = 0.0
     for name, c in circuits:
@@ -258,7 +261,7 @@ def cmd_xcheck(args) -> tuple[int, RunReport]:
             report.probabilities[f"{name}.{b}.maxdev"] = dev
             report.probabilities[f"{name}.{b}.tv"] = tv
         report.flags.extend(f"{name}: {f}" for f in flags)
-    report.counters["circuits"] = len(circuits)
+    report.counters["circuits"] = count
     report.counters["max_abs_deviation"] = worst
     code = EXIT_OK if worst <= args.tol else EXIT_TOLERANCE
     return code, report

@@ -1,9 +1,13 @@
 """Pfaffian/Wick backend.
 
 Joint outcome probabilities of adaptive matchgate circuits on computational
-basis inputs are Pfaffians of antisymmetric contraction matrices; an input
-with one trailing entangled zone of k lines costs an extra sum over at most
-2^{2k} cross terms, pruned by Hamming-weight parity.
+basis inputs are Pfaffians of antisymmetric contraction matrices.  An input
+with one trailing entangled zone of k lines sums over at most 2^{2k} cross
+terms, pruned by Hamming-weight parity; they share the middle block F of the
+contraction matrix, so a joint costs poly(n) + 2^{2k} poly(k): one Pfaffian of
+F, one solve for the 2k x 2k Schur complement, and one Pfaffian of size <= 2k
+per cross term.  A singular or near-singular F falls back to one full
+Pfaffian per cross term, 2^{2k} poly(n).
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ SKEW_TOL = 1e-10
 NEG_CLAMP = 1e-9
 ZERO_PREFIX = 1e-12
 ZONE_CAP = 14
+# The Schur route gives way to full Pfaffians when |Pf(F)| is at most PF_FLOOR
+# or an entry of S exceeds SCHUR_CAP in modulus: F is then close to singular,
+# and the pair Pfaffians of S lose digits to cancellation (on random circuits
+# with n <= 10, |S| ~ 1e3 cost 4e-14, ~1e5 cost 3e-10; below 100, 2e-15).
+PF_FLOOR = 1e-10
+SCHUR_CAP = 100.0
 
 
 def pfaffian(m, check=True) -> complex:
@@ -136,12 +146,18 @@ class EvalStats:
     """Cost-law counters and numerical-health flags of one evaluation run.
 
     The Heisenberg joint fills ``term_count`` (its nominal summand count).
-    The Pfaffian joint fills ``evaluated_pairs`` (Pfaffians computed) and
-    ``flags`` (clamped imaginary and negative residuals).
+    The Pfaffian joint fills ``evaluated_pairs``, the Pfaffians it computed:
+    per joint one of the middle block F, plus one per parity-matched zone
+    pair when the zone is not empty (of the Schur complement; on the
+    fallback, of the pair's full matrix, except for the pair (0, 0), whose
+    matrix is F).  ``schur_fallbacks`` counts the joints whose F was too
+    close to singular for the Schur route; ``flags`` holds clamped imaginary
+    and negative residuals.
     """
 
     term_count: int = 0
     evaluated_pairs: int = 0
+    schur_fallbacks: int = 0
     flags: list = field(default_factory=list)
 
 
@@ -302,6 +318,8 @@ def _input_rows(lines, n, descending=False):
 
 
 def _clamp_probability(value, flags) -> float:
+    if not np.isfinite(value):
+        raise BackendInapplicable("pfaffian", f"non-finite joint probability {value}")
     if abs(value.imag) > NEG_CLAMP:
         flags.append(f"imaginary residual {value.imag:.2e}")
     p = float(value.real)
@@ -312,45 +330,102 @@ def _clamp_probability(value, flags) -> float:
     return p
 
 
+def _pair_sum(amps, pf_of):
+    """Sum over parity-matched zone components (w, w') of
+    lam_w lam_{w'}^* pf_of(bra, ket).
+
+    ``bra`` indexes the zone lines set in w' in descending order (candidate
+    row k-1-i for zone line i), ``ket`` those set in w in ascending order
+    (row k+i), among the 2k candidate zone rows."""
+    width = int(np.log2(len(amps)))
+    comps = []
+    for w in np.flatnonzero(amps):
+        lines = [i for i in range(width) if (w >> (width - 1 - i)) & 1]
+        comps.append((amps[w], len(lines) & 1,
+                      [width - 1 - i for i in reversed(lines)], [width + i for i in lines]))
+    value = 0.0 + 0.0j
+    for amp, parity, _, ket in comps:
+        for amp_p, parity_p, bra, _ in comps:
+            if parity == parity_p:
+                value += amp * np.conj(amp_p) * pf_of(bra, ket)
+    return value
+
+
+def _schur_complement(o, k, f):
+    """S = Z + X^T F^-1 X of ``o`` = [bra zone (k), F (f), ket zone (k)]
+    over its 2k zone rows, or None when an entry of S is not finite or
+    exceeds ``SCHUR_CAP`` in modulus.
+
+    Listing F first moves the bra zone rows past the even-sized F, which
+    changes no Pfaffian's sign.  S is made exactly antisymmetric, as the
+    zero-pivot test of ``pfaffian`` needs."""
+    cand = np.r_[0:k, k + f:2 * k + f]
+    x = o[k:k + f, cand]
+    try:
+        s = np.triu(o[np.ix_(cand, cand)] + x.T @ np.linalg.solve(o[k:k + f, k:k + f], x), 1)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        return None
+    s -= s.T
+    return s if np.all(np.abs(s) <= SCHUR_CAP) else None  # False on nan too
+
+
 def joint_prob_entangled(circuit: Circuit, outcomes: dict,
                          stats: EvalStats | None = None) -> float:
     """Joint probability of an outcome assignment for bits + one trailing
-    superposition zone.
+    superposition zone of k lines.
 
     ``outcomes`` assigns bits to a prefix of the intermediate records plus
     any subset of final records (unassigned finals are marginalized).
     The zone state is expanded over computational components w with
     amplitudes lam_w; the probability is sum over (w, w') of
     lam_w lam_{w'}^* Pf(O_{w,w'}), and pairs whose Hamming weights differ in
-    parity are skipped since their vacuum expectation vanishes.  A bit-string
-    input is the width-0 zone: one pair, one Pfaffian.
+    parity are skipped since their vacuum expectation vanishes.
+
+    Every O_{w,w'} shares its middle block F (bra bits, measurement rows, ket
+    bits), which has even size, so Pf(O_{w,w'}) = Pf(F) Pf(S[sel]) with the
+    Schur complement S = Z + X^T F^-1 X over the 2k candidate zone rows: one
+    n-sized Pfaffian and one solve, then one Pfaffian of size <= 2k per pair.
+    A bit-string input is the width-0 zone: Pf(F) alone.  When F is
+    singular or close to it (|Pf(F)| <= ``PF_FLOOR``, as when a zone line
+    that no gate touches is measured 1, or an entry of S beyond
+    ``SCHUR_CAP``), each pair's full Pfaffian is taken instead, and
+    ``stats.schur_fallbacks`` counts the joint.
     """
     check_computational_program(circuit, "pfaffian")
     canon = split_canonical_input(circuit)
     stats = stats if stats is not None else EvalStats()
-    mids = measurement_rows(circuit, outcomes)
     n = circuit.n
-    h = h_matrix(n)
-    amps = canon.zone_amps
-    width = int(np.log2(len(amps)))
-    support = [w for w in range(len(amps)) if amps[w] != 0]
-    parity = {w: bin(w).count("1") & 1 for w in support}
-    # input 1-positions of each zone component: the leading bits, then the
-    # zone lines set in w
     base = [i for i, b in enumerate(canon.bits) if b == "1"]
-    start = len(canon.bits)
-    ones = {w: base + [start + i for i in range(width) if (w >> (width - 1 - i)) & 1]
-            for w in support}
-    value = 0.0 + 0.0j
-    for w in support:
-        p_rows = _input_rows(ones[w], n)
-        for wp in support:
-            if parity[w] != parity[wp]:
-                continue
-            rows = np.vstack([_input_rows(ones[wp], n, descending=True), mids, p_rows])
-            value += amps[w] * np.conj(amps[wp]) * pfaffian(build_o(rows, h), check=False)
+    rows = np.vstack([_input_rows(base, n, descending=True),
+                      measurement_rows(circuit, outcomes), _input_rows(base, n)])
+    zone = range(len(canon.bits), n)
+    k, f = len(zone), len(rows)
+    if k:
+        rows = np.vstack([_input_rows(zone, n, descending=True), rows, _input_rows(zone, n)])
+    # operator order: [bra zone (k), F (f), ket zone (k)]
+    o = build_o(rows, h_matrix(n))
+    pf_f = pfaffian(o[k:k + f, k:k + f], check=False)
+    stats.evaluated_pairs += 1
+    if not k:
+        return _clamp_probability(pf_f, stats.flags)
+    s = _schur_complement(o, k, f) if abs(pf_f) > PF_FLOOR else None
+    if s is not None:
+        def schur(bra, ket):
             stats.evaluated_pairs += 1
-    return _clamp_probability(value, stats.flags)
+            return pfaffian(s[np.ix_(bra + ket, bra + ket)], check=False)
+
+        return _clamp_probability(pf_f * _pair_sum(canon.zone_amps, schur), stats.flags)
+    stats.schur_fallbacks += 1
+    middle = list(range(k, k + f))
+
+    def full(bra, ket):
+        if not bra and not ket:
+            return pf_f  # the pair (0, 0) is F itself
+        stats.evaluated_pairs += 1
+        idx = bra + middle + [f + j for j in ket]
+        return pfaffian(o[np.ix_(idx, idx)], check=False)
+
+    return _clamp_probability(_pair_sum(canon.zone_amps, full), stats.flags)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,9 @@ def test_out_of_range_argument_exit_code(capsys, adaptive_file, argv):
       for shots in (10 ** 20, 2 ** 63) for backend in ("pfaffian", "heisenberg", "oracle")),
     ["xcheck", "--random", str(2 ** 63), "5", "2", "3"],
     ["xcheck", "--random", "15", "5", "2", "3"],
+    ["xcheck", "--random", "5", str(2 ** 63), "2", "3"],
+    ["xcheck", "--random", "5", "3", "100000000", "3"],
+    ["xcheck", "--random", "5", "100001", "1", "3"],
 ])
 def test_absurd_count_exits_inapplicable(capsys, adaptive_file, argv):
     code, out = run_argv(capsys, argv, adaptive_file)
@@ -431,6 +434,17 @@ def test_negative_probability_flag_reaches_report(capsys, fswap_file, monkeypatc
     assert any("negative probability" in f for f in json.loads(out)["flags"])
     code, out = run_cli(capsys, "xcheck", fswap_file)
     assert "negative probability" in out
+
+
+def test_nan_probability_exits_inapplicable(capsys, adaptive_file, monkeypatch):
+    import matchsim.pfaffian
+
+    monkeypatch.setattr(matchsim.pfaffian, "pfaffian", lambda m, check=True: float("nan"))
+    for argv in (["prob", "F", "-p", "0**1", "--backend", "pfaffian"],
+                 ["sample", "F", "--shots", "3", "--backend", "pfaffian"]):
+        code, out = run_argv(capsys, argv, adaptive_file)
+        assert code == 3
+        assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,13 @@
 """Pfaffian kernel and Wick-backend tests against the dense oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import matchsim.pfaffian
 from matchsim.circuit import (
     BitsBlock,
     Circuit,
@@ -11,9 +16,11 @@ from matchsim.circuit import (
     Gate,
     InputSpec,
     MagicBlock,
+    MatchgateAngles,
     Measure,
     ProductBlock,
     bits_input,
+    matchgate_from_angles,
 )
 from matchsim.errors import BlockTooLarge, NotSkew, ZeroProbabilityPrefix
 from matchsim.majorana import h_matrix
@@ -204,8 +211,80 @@ def test_cross_term_parity_pruning_counter():
     c = random_mg_circuit(5, 10, seed=10, input_spec=spec, final_lines=[0])
     stats = EvalStats()
     joint_prob_entangled(c, {"x0": 0}, stats)
-    # |M> has 4 components, all even weight: 16 pairs survive of 2^{2k} = 256
-    assert stats.evaluated_pairs == 16
+    # |M> has 4 components, all even weight: 16 pairs survive of 2^{2k} = 256,
+    # each one Pfaffian of the Schur complement, plus one of the middle block
+    assert stats.evaluated_pairs == 16 + 1
+    assert stats.schur_fallbacks == 0
+
+
+def _zone_circuit(n, k, depth, seed, n_intermediate, final_lines):
+    """Random circuit on bits + a trailing width-k zone whose amplitudes
+    are random, some of them zero."""
+    rng = np.random.default_rng(seed)
+    amps = (rng.normal(size=2 ** k) + 1j * rng.normal(size=2 ** k)) * (rng.random(2 ** k) < 0.7)
+    amps[rng.integers(2 ** k)] += 1.0
+    bits = "".join(rng.choice(["0", "1"], size=n - k))
+    zone = EntangledBlock(k, amps / np.linalg.norm(amps))
+    blocks = ((BitsBlock(bits),) if bits else ()) + (zone,)
+    return random_mg_circuit(n, depth, seed=seed, n_intermediate=n_intermediate,
+                             input_spec=InputSpec(blocks), final_lines=final_lines)
+
+
+@st.composite
+def _zone_circuits(draw, max_n=10, max_k=4):
+    n = draw(st.integers(2, max_n))
+    finals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    # depths down to 1 leave zone lines untouched, whose outcome 1 makes F singular
+    return _zone_circuit(n, draw(st.integers(1, min(max_k, n))), draw(st.integers(1, 2 * n)),
+                         draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(0, 2)),
+                         sorted(finals))
+
+
+def _full_records(c):
+    ids = [m.record_id for m in c.measurements()]
+    return [dict(zip(ids, bits)) for bits in itertools.product((0, 1), repeat=len(ids))]
+
+
+def _pair_loop(c, outcomes):
+    """The joint with every pair's full Pfaffian: the Schur route's fallback."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matchsim.pfaffian, "PF_FLOOR", np.inf)
+        return joint_prob_entangled(c, outcomes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=_zone_circuits())
+def test_schur_joint_matches_pair_loop_and_oracle(c):
+    dist = run_exact(c)
+    for oc in _full_records(c):
+        q = joint_prob_entangled(c, oc)
+        assert abs(q - _pair_loop(c, oc)) < 1e-12
+        assert abs(q - dist.probs.get(tuple(oc.items()), 0.0)) < 1e-7
+
+
+def test_singular_middle_block_takes_the_pair_loop():
+    # line 3 is in the zone and no gate touches it, so with the zone at 00 the
+    # final x1 on line 3 reads 0: Pf(F) = p(x | zone = 00) = 0
+    amps = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
+    spec = InputSpec((BitsBlock("10"), EntangledBlock(2, amps)))
+    gates = tuple(Gate(1, matchgate_from_angles(MatchgateAngles(*a)))
+                  for a in ((0.3, 1.1, 2.0, 0.4, 2.9, 1.7), (1.9, 0.2, 0.8, 2.4, 0.6, 1.3)))
+    c = Circuit(4, spec, gates + (Measure(0, "x0", "final"), Measure(3, "x1", "final"))).validate()
+    dist = run_exact(c)
+    for x0 in (0, 1):
+        oc = {"x0": x0, "x1": 1}
+        stats = EvalStats()
+        q = joint_prob_entangled(c, oc, stats)
+        assert stats.schur_fallbacks == 1
+        assert abs(q - dist.probability(oc)) < 1e-7
+        assert abs(q - _pair_loop(c, oc)) < 1e-12
+    assert dist.probability({"x1": 1}) > 0.1
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=_zone_circuits(max_n=8, max_k=3))
+def test_joints_over_every_full_record_sum_to_one(c):
+    assert abs(sum(joint_prob_entangled(c, oc) for oc in _full_records(c)) - 1.0) < 1e-9
 
 
 def test_zone_cap():
@@ -257,6 +336,17 @@ def test_sampler_conditionals_in_range_and_product_equals_joint():
             assert -1e-12 <= cond <= 1 + 1e-12
         joint = joint_prob_entangled(c, r.bits())
         assert abs(r.joint_probability() - joint) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=_zone_circuits(max_n=7, max_k=3), seed=st.integers(0, 2 ** 32 - 1))
+def test_cached_conditionals_in_range_and_summing_to_parent(c, seed):
+    sampler = ChainRuleSampler(c)
+    sample_many(c, 20, seed, sampler=sampler)
+    for prefix, (p0, p1) in sampler.cache.items():
+        parent = sampler.cache[prefix[:-1]][prefix[-1]] if prefix else 1.0
+        assert 0.0 <= p0 <= parent + 1e-9 and 0.0 <= p1 <= parent + 1e-9
+        assert abs(p0 + p1 - parent) < 1e-9
 
 
 def test_zero_probability_prefix_error():
