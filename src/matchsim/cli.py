@@ -174,27 +174,35 @@ def _format_record(rec_bits, order):
     return " ".join(f"{rid}={d[rid]}" for rid in order if rid in d)
 
 
+def _distinct_records(bits, leaf, order):
+    """The distinct rows of a sampler's (bits, leaf) as (record id, bit)
+    tuples over ``order``, indexed by leaf."""
+    records = np.zeros((leaf.max(initial=-1) + 1, bits.shape[1]), dtype=bits.dtype)
+    records[leaf] = bits
+    return [tuple(zip(order, row)) for row in records.tolist()]
+
+
 def cmd_sample(args) -> tuple[int, RunReport]:
     circuit = _read_lowered(args.circuit, "sample")
     backend = args.backend if args.backend != "auto" else "pfaffian"
     report = RunReport(backend, "sample", seed=args.seed)
-    order = [m.record_id for m in circuit.measurements()]
     if backend == "oracle":
-        dist = oracle.run_exact(circuit)
-        recs = oracle.sample_distribution(dist, args.shots, args.seed)
-        report.samples = [_format_record(r, order) for r in recs]
+        keys, index = oracle.sample_distribution(oracle.run_exact(circuit), args.shots, args.seed)
     elif backend == "pfaffian":
         work, _ = compile_circuit(circuit)
         sampler = pfaffian.ChainRuleSampler(work)
-        recs = pfaffian.sample_many(work, args.shots, args.seed, sampler=sampler)
-        report.samples = [_format_record(list(r.bits().items()), order) for r in recs]
+        bits, index = pfaffian.sample_many(work, args.shots, args.seed, sampler=sampler)
+        keys = _distinct_records(bits, index, sampler.order)
         report.counters["conditionals_cached"] = len(sampler.cache)
     elif backend == "heisenberg":
         sampler = heisenberg.heisenberg_sampler(circuit)
-        recs = pfaffian.sample_many(circuit, args.shots, args.seed, sampler=sampler)
-        report.samples = [_format_record(list(r.bits().items()), order) for r in recs]
+        bits, index = pfaffian.sample_many(circuit, args.shots, args.seed, sampler=sampler)
+        keys = _distinct_records(bits, index, sampler.order)
     else:
         raise BackendInapplicable(backend, "unknown backend")
+    order = [m.record_id for m in circuit.measurements()]
+    texts = [_format_record(key, order) for key in keys]
+    report.samples = [texts[i] for i in index.tolist()]
     report.counters["shots"] = args.shots
     return EXIT_OK, report
 

@@ -267,7 +267,9 @@ def post_select(dist: BranchDistribution, constraints: dict) -> BranchDistributi
 
 
 def sample_distribution(dist: BranchDistribution, shots: int, seed: int):
-    """Categorical samples of full records from an exact distribution."""
+    """Categorical samples of full records from an exact distribution:
+    (keys, index), the distribution's records in sorted order and each
+    shot's index into them."""
     keys = sorted(dist.probs.keys())
     p = np.array([dist.probs[k] for k in keys])
     p = np.clip(p, 0, None)
@@ -280,7 +282,7 @@ def sample_distribution(dist: BranchDistribution, shots: int, seed: int):
         draws = rng.choice(len(keys), size=shots, p=p)
     except MemoryError as exc:
         raise CapExceeded(f"no memory for {shots} shots") from exc
-    return [keys[i] for i in draws]
+    return keys, draws
 
 
 def random_mg_circuit(n, depth, seed, n_intermediate=0, input_spec=None,

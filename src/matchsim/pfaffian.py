@@ -211,32 +211,33 @@ def resolve_outcomes(circuit: Circuit, outcomes: dict, backend: str):
     return intermediates, t, assigned_finals
 
 
-# Per circuit, the read-only cumulative rotation through segment s, keyed by
-# the outcomes y_<s of the intermediates before it.  Guards may read only
-# earlier records (``guard-earlier``), so that rotation depends on y_<s
-# alone; the entries die with their circuit.
+# Per circuit, its intermediate measurements and the read-only cumulative
+# rotation through segment s, keyed by the outcomes y_<s of the intermediates
+# before it.  Guards may read only earlier records (``guard-earlier``), so that
+# rotation depends on y_<s alone; the entries die with their circuit.
 _PREFIX_R = weakref.WeakKeyDictionary()
 
 
 def cumulative_ts(circuit: Circuit, outcomes: dict, upto: int, with_final: bool):
     """Cumulative T matrices T^(1), .., T^(upto) (and the final-segment T as
-    the last entry when ``with_final``), with guards resolved from outcomes."""
-    segs = instantiate_segments(circuit, outcomes, upto=None if with_final else upto)
-    n = circuit.n
-    inters = circuit.measurements("intermediate")
-    prefix_r = _PREFIX_R.setdefault(circuit, {})
-    ts = []
-    r = np.eye(2 * n)
-    limit = len(segs) if with_final else upto
-    for s in range(limit):
-        key = tuple(outcomes[m.record_id] for m in inters[:s])
-        if key not in prefix_r:
-            extended = r @ segment_rotation(segs[s], n)
-            extended.flags.writeable = False
-            prefix_r[key] = extended
-        r = prefix_r[key]
-        ts.append(t_from_r(r))
-    return ts
+    the last entry when ``with_final``), with guards resolved from outcomes.
+    The segments are resolved only when a cumulative rotation is missing."""
+    entry = _PREFIX_R.get(circuit)
+    if entry is None:
+        entry = _PREFIX_R[circuit] = (circuit.measurements("intermediate"), {})
+    inters, prefix_r = entry
+    y = tuple(outcomes[m.record_id] for m in inters[:upto])
+    keys = [y[:s] for s in range(len(inters) + 1 if with_final else upto)]
+    if any(key not in prefix_r for key in keys):
+        segs = instantiate_segments(circuit, outcomes, upto=None if with_final else upto)
+        r = np.eye(2 * circuit.n)
+        for seg, key in zip(segs, keys):
+            if key not in prefix_r:
+                extended = r @ segment_rotation(seg, circuit.n)
+                extended.flags.writeable = False
+                prefix_r[key] = extended
+            r = prefix_r[key]
+    return [t_from_r(prefix_r[key]) for key in keys]
 
 
 def measurement_rows(circuit, outcomes, backend="pfaffian") -> np.ndarray:
@@ -433,30 +434,15 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OutcomeRecord:
-    """One weak-simulation shot: (record_id, bit, conditional probability)
-    triples in measurement order."""
-
-    assignments: tuple
-
-    def bits(self) -> dict:
-        return {rid: b for rid, b, _ in self.assignments}
-
-    def joint_probability(self) -> float:
-        p = 1.0
-        for _, _, c in self.assignments:
-            p *= c
-        return p
-
-
 class ChainRuleSampler:
-    """Iterative marginal sampler.
+    """Chain-rule weak sampler over the tree of measurement prefixes.
 
-    Per shot: simulate up to each intermediate measurement, compute the two
-    prefix probabilities, draw the outcome from the conditional, fix it, and
-    continue; the final lines are drawn the same way.  Conditionals are
-    cached per prefix so repeated shots do not recompute Pfaffians.
+    Each step draws one record from its conditional given the records drawn
+    so far: p(b | prefix) = p(prefix, b) / p(prefix), both joints from
+    ``prob_fn``.  ``sample`` descends the tree level by level for every shot
+    at once, so each distinct prefix costs one pair of joints per call, and
+    ``cache`` keeps those pairs, keyed by the prefix's bit tuple, across
+    calls.
     """
 
     def __init__(self, circuit: Circuit, prob_fn=None):
@@ -475,29 +461,45 @@ class ChainRuleSampler:
             self.cache[key] = (p0, p1)
         return self.cache[key]
 
-    def sample(self, uniforms) -> OutcomeRecord:
-        """One shot; step k draws its outcome against ``uniforms[k]``."""
-        assign = {}
-        assignments = []
-        denom = 1.0
-        for step, rid in enumerate(self.order):
-            if denom < ZERO_PREFIX:
+    def sample(self, uniforms):
+        """Draw one record per row of the (shots, >= steps) ``uniforms``.
+
+        Shot i takes outcome 0 at step k when ``uniforms[i, k]`` is below
+        the conditional probability of 0 given its prefix, clamped to
+        [0, 1].  Returns (bits, leaf): the (shots, steps) uint8 records in
+        ``order``, and each shot's index among the distinct records in
+        lexicographic order, as ``np.unique(bits, axis=0,
+        return_inverse=True)`` numbers them.  A prefix reached below
+        probability ``ZERO_PREFIX`` raises ZeroProbabilityPrefix.
+        """
+        shots = len(uniforms)
+        bits = np.zeros((shots, len(self.order)), dtype=np.uint8)
+        node = np.zeros(shots, dtype=np.intp)  # each shot's index into ``prefixes``
+        prefixes, denoms = [()] * min(shots, 1), [1.0] * min(shots, 1)
+        for step in range(len(self.order)):
+            low = [d for d in denoms if d < ZERO_PREFIX]
+            if low:
                 raise ZeroProbabilityPrefix(
-                    f"prefix probability {denom:.3e} below {ZERO_PREFIX:.0e}"
+                    f"prefix probability {low[0]:.3e} below {ZERO_PREFIX:.0e}"
                 )
-            p0, p1 = self._conditionals(tuple(b for _, b, _ in assignments), assign, denom)
-            cond0 = min(max(p0 / denom, 0.0), 1.0)
-            bit = 0 if uniforms[step] < cond0 else 1
-            denom = (p0, p1)[bit]
-            cond = (cond0, 1.0 - cond0)[bit]
-            assign[rid] = bit
-            assignments.append((rid, bit, cond))
-        return OutcomeRecord(tuple(assignments))
+            pairs = [self._conditionals(prefix, dict(zip(self.order, prefix)), d)
+                     for prefix, d in zip(prefixes, denoms)]
+            cond0 = np.array([min(max(p0 / d, 0.0), 1.0) for (p0, _), d in zip(pairs, denoms)])
+            bits[:, step] = uniforms[:, step] >= cond0[node]
+            # children 2j, 2j + 1 of prefix j, renumbered densely in order
+            child = 2 * node + bits[:, step]
+            reached = np.bincount(child, minlength=2 * len(prefixes)) > 0
+            node = (np.cumsum(reached) - 1)[child]
+            kids = [divmod(c, 2) for c in np.flatnonzero(reached).tolist()]
+            prefixes = [prefixes[j] + (b,) for j, b in kids]
+            denoms = [pairs[j][b] for j, b in kids]
+        return bits, node
 
 
 def sample_many(circuit: Circuit, shots: int, seed: int,
-                sampler: ChainRuleSampler | None = None) -> list:
-    """Deterministic multi-shot sampling with a shared conditional cache.
+                sampler: ChainRuleSampler | None = None):
+    """Deterministic multi-shot sampling with a shared conditional cache;
+    returns ``sampler.sample``'s (bits, leaf).
 
     Shot i consumes row i of a uniform table drawn once from the master
     seed (a counter scheme: the row index addresses the stream), so results
@@ -510,4 +512,4 @@ def sample_many(circuit: Circuit, shots: int, seed: int,
         rows = rng.random((shots, max(1, len(sampler.order))))
     except (ValueError, MemoryError) as exc:  # numpy refuses a table of this shape
         raise CapExceeded(f"no table of {shots} shots: {exc}") from exc
-    return [sampler.sample(row) for row in rows]
+    return sampler.sample(rows)

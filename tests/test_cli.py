@@ -1,5 +1,6 @@
 """Command-line interface tests: determinism, exit codes, report formats."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -88,6 +89,46 @@ def test_sample_deterministic_bytes(capsys, adaptive_file):
     assert out1 == out2
     _, out3 = run_cli(capsys, "sample", adaptive_file, "--shots", "20", "--seed", "10")
     assert out1 != out3
+
+
+# SHA-256 of ``sample`` stdout (text, --json) for fixed circuits and seeds:
+# changing a sampled record or a byte of its formatting changes these.
+_SAMPLE_DIGESTS = {
+    "pfaffian": ("f15fc6bdca698f4101471d3fddd6452ab209e491dd50c6b84f3b0eead1720d0a",
+                 "9d25faf4a8d955e6ae8f0e84005096e99d60bb3130ae5fe658b1ab25b2aca519"),
+    "heisenberg": ("422a985cc4b52a94f111fa76efd29dccc79b066ef66c501dcc427594290e73ba",
+                   "c668acbfc1a7891252ad9c06a49710164b54468fd5e5c41bbbdaa43c7c2bb54b"),
+    "oracle": ("06b8697d81777b84960076865ad669196441d296bbf0c0ca22f492e5eebc3ca5",
+               "2f5f72555efb623fdc73905029f1149bfbb3070c0259c39287394f3f3c1ca655"),
+}
+
+
+def _digest_case(backend):
+    """(circuit, shots, seed) per backend: an adaptive circuit whose
+    entangled block needs compiling for the Pfaffian sampler, a
+    two-intermediate one for the Heisenberg sampler, and an oracle one."""
+    if backend == "pfaffian":
+        spec = InputSpec((BitsBlock("10"), EntangledBlock(2, np.array([0.5, 0.5j, -0.5, 0.5])),
+                          BitsBlock("01")))
+        return random_mg_circuit(6, 24, seed=101, n_intermediate=2, input_spec=spec,
+                                 final_lines=[1, 4]), 600, 17
+    if backend == "heisenberg":
+        return random_mg_circuit(4, 14, seed=102, n_intermediate=2, final_lines=[0, 3]), 300, 23
+    return random_mg_circuit(5, 16, seed=103, n_intermediate=1), 600, 29
+
+
+@pytest.mark.parametrize("backend", sorted(_SAMPLE_DIGESTS))
+def test_sample_stdout_digests(capsys, tmp_path, backend):
+    circuit, shots, seed = _digest_case(backend)
+    path = tmp_path / "circuit.json"
+    path.write_text(serialize_circuit(circuit))
+    argv = ["sample", str(path), "--shots", str(shots), "--seed", str(seed), "--backend", backend]
+    digests = []
+    for extra in ([], ["--json"]):
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == _SAMPLE_DIGESTS[backend]
 
 
 def test_sample_zero_shots(capsys, adaptive_file):

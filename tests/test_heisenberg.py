@@ -173,38 +173,31 @@ def test_backend_equivalence_with_pfaffian_k0():
         assert abs(ph - pp) < 1e-8
 
 
+def _sampled_tv(c, shots, seed):
+    """TV distance between the Heisenberg sampler's records and the oracle."""
+    sampler = heisenberg_sampler(c)
+    bits, _ = sample_many(c, shots, seed=seed, sampler=sampler)
+    rows, counts = np.unique(bits, axis=0, return_counts=True)
+    counts = {tuple(sorted(zip(sampler.order, row))): k
+              for row, k in zip(rows.tolist(), counts.tolist())}
+    return 0.5 * sum(abs(counts.get(tuple(sorted(dict(rec).items())), 0) / shots - p)
+                     for rec, p in run_exact(c).probs.items())
+
+
 def test_sampling_deterministic_and_matches_oracle():
     spec = InputSpec((ProductBlock((PLUS,)), BitsBlock("00")))
     c = random_mg_circuit(3, 10, seed=24, n_intermediate=1, final_lines=[1], input_spec=spec)
-    r1 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
-    r2 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
-    assert [r.assignments for r in r1] == [r.assignments for r in r2]
-    dist = run_exact(c)
-    sampler = heisenberg_sampler(c)
-    counts = {}
-    shots = 3000
-    for r in sample_many(c, shots, seed=2, sampler=sampler):
-        key = tuple(sorted(r.bits().items()))
-        counts[key] = counts.get(key, 0) + 1
-    tv = 0.5 * sum(abs(counts.get(tuple(sorted(dict(rec).items())), 0) / shots - p)
-                   for rec, p in dist.probs.items())
-    assert tv < 0.04
+    bits1, leaf1 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
+    bits2, leaf2 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
+    assert np.array_equal(bits1, bits2) and np.array_equal(leaf1, leaf2)
+    assert _sampled_tv(c, 3000, seed=2) < 0.04
 
 
 def test_two_adaptive_sampler_tv_at_1e5_shots():
     # empirical distribution of a 2-adaptive n=4 circuit vs the oracle
     c = random_mg_circuit(4, 18, seed=25, n_intermediate=2, final_lines=[0, 3],
                           input_spec=bits_input("0100"))
-    sampler = heisenberg_sampler(c)
-    recs = sample_many(c, 100_000, seed=12, sampler=sampler)
-    dist = run_exact(c)
-    counts = {}
-    for r in recs:
-        key = tuple(sorted(r.bits().items()))
-        counts[key] = counts.get(key, 0) + 1
-    tv = 0.5 * sum(abs(counts.get(tuple(sorted(dict(rec).items())), 0) / 100_000 - p)
-                   for rec, p in dist.probs.items())
-    assert tv < 0.01
+    assert _sampled_tv(c, 100_000, seed=12) < 0.01
 
 
 def test_term_count_formula_multi_final():

@@ -221,9 +221,10 @@ def test_depth_zero_circuit():
 def test_sample_distribution_deterministic():
     c = random_mg_circuit(3, 10, seed=8, n_intermediate=1)
     dist = run_exact(c)
-    s1 = sample_distribution(dist, 50, seed=5)
-    s2 = sample_distribution(dist, 50, seed=5)
-    assert s1 == s2
+    keys1, index1 = sample_distribution(dist, 50, seed=5)
+    keys2, index2 = sample_distribution(dist, 50, seed=5)
+    assert keys1 == keys2 == sorted(dist.probs)
+    assert np.array_equal(index1, index2) and len(index1) == 50
 
 
 def test_branch_distribution_sums_to_one():

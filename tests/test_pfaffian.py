@@ -23,9 +23,11 @@ from matchsim.circuit import (
     matchgate_from_angles,
 )
 from matchsim.errors import BlockTooLarge, NotSkew, ZeroProbabilityPrefix
+from matchsim.heisenberg import heisenberg_sampler
 from matchsim.majorana import h_matrix
 from matchsim.oracle import random_mg_circuit, run_exact
 from matchsim.pfaffian import (
+    ZERO_PREFIX,
     ChainRuleSampler,
     EvalStats,
     _input_rows,
@@ -310,32 +312,35 @@ def test_non_canonical_input_rejected():
 
 def test_sampler_deterministic_under_seed():
     c = random_mg_circuit(4, 20, seed=11, n_intermediate=2)
-    r1 = sample_many(c, 5, seed=3)
-    r2 = sample_many(c, 5, seed=3)
-    assert [r.assignments for r in r1] == [r.assignments for r in r2]
+    bits1, leaf1 = sample_many(c, 5, seed=3)
+    bits2, leaf2 = sample_many(c, 5, seed=3)
+    assert np.array_equal(bits1, bits2) and np.array_equal(leaf1, leaf2)
 
 
 def test_sampler_nonadapt_equals_categorical_draw():
     c = random_mg_circuit(3, 12, seed=12)
-    recs = sample_many(c, 4000, seed=5)
+    bits, _ = sample_many(c, 4000, seed=5)
     dist = run_exact(c)
     marg = dist.marginal([m.record_id for m in c.measurements("final")])
-    counts = {}
-    for r in recs:
-        key = tuple(b for _, b, _ in r.assignments)
-        counts[key] = counts.get(key, 0) + 1
+    rows, counts = np.unique(bits, axis=0, return_counts=True)
+    counts = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
     tv = 0.5 * sum(abs(counts.get(k, 0) / 4000 - p) for k, p in marg.items())
     assert tv < 0.03
 
 
 def test_sampler_conditionals_in_range_and_product_equals_joint():
     c = random_mg_circuit(8, 30, seed=13, n_intermediate=10, final_lines=[0, 7])
-    recs = sample_many(c, 20, seed=6)
-    for r in recs:
-        for _, _, cond in r.assignments:
+    sampler = ChainRuleSampler(c)
+    bits, _ = sample_many(c, 20, seed=6, sampler=sampler)
+    for record in map(tuple, bits.tolist()):
+        product, denom = 1.0, 1.0
+        for step, bit in enumerate(record):
+            p = sampler.cache[record[:step]][bit]
+            cond = p / denom
             assert -1e-12 <= cond <= 1 + 1e-12
-        joint = joint_prob_entangled(c, r.bits())
-        assert abs(r.joint_probability() - joint) < 1e-8
+            product, denom = product * cond, p
+        joint = joint_prob_entangled(c, dict(zip(sampler.order, record)))
+        assert abs(product - joint) < 1e-8
 
 
 @settings(max_examples=30, deadline=None)
@@ -350,13 +355,56 @@ def test_cached_conditionals_in_range_and_summing_to_parent(c, seed):
 
 
 def test_zero_probability_prefix_error():
-    # a prefix whose probability collapses below threshold aborts the shot
+    # a prefix whose probability collapses below threshold aborts the draw
     c = Circuit(1, bits_input("0"), (Measure(0, "m", "intermediate"),
                                      Measure(0, "x", "final"))).validate()
     sampler = ChainRuleSampler(c, prob_fn=lambda oc: 0.0)
 
     with pytest.raises(ZeroProbabilityPrefix):
-        sampler.sample([0.5, 0.5])
+        sampler.sample(np.full((1, 2), 0.5))
+
+
+def _per_shot_records(sampler, table):
+    """The chain rule one shot at a time: the reference the level-by-level
+    descent of ``ChainRuleSampler.sample`` must equal bit for bit."""
+    records = []
+    for u in table:
+        bits, assign, denom = (), {}, 1.0
+        for step, rid in enumerate(sampler.order):
+            if denom < ZERO_PREFIX:
+                raise ZeroProbabilityPrefix(f"prefix probability {denom:.3e}")
+            p0, p1 = sampler._conditionals(bits, assign, denom)
+            bit = 0 if u[step] < min(max(p0 / denom, 0.0), 1.0) else 1
+            bits, assign[rid], denom = bits + (bit,), bit, (p0, p1)[bit]
+        records.append(bits)
+    return records
+
+
+@st.composite
+def _sampled_circuits(draw):
+    n = draw(st.integers(2, 5))
+    finals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    return _zone_circuit(n, draw(st.integers(1, min(3, n))), draw(st.integers(1, 2 * n)),
+                         draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(0, 3)),
+                         sorted(finals))
+
+
+# no measurement at all (``validate`` would reject it; the sampler need not)
+_UNMEASURED = Circuit(2, bits_input("01"), (Gate(0, FSWAP),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.one_of(_sampled_circuits(), st.just(_UNMEASURED)),
+       backend=st.sampled_from([ChainRuleSampler, heisenberg_sampler]),
+       shots=st.sampled_from([0, 1, 200]), seed=st.integers(0, 2 ** 32 - 1))
+def test_level_descent_equals_per_shot_loop(c, backend, shots, seed):
+    table = np.random.default_rng(seed).random((shots, max(1, len(c.measurements()))))
+    bits, leaf = backend(c).sample(table)
+    reference = _per_shot_records(backend(c), table)
+    assert bits.dtype == np.uint8 and bits.shape == (shots, len(c.measurements()))
+    assert list(map(tuple, bits.tolist())) == reference
+    distinct = sorted(set(reference))
+    assert leaf.tolist() == [distinct.index(r) for r in reference]
 
 
 def test_pf_squared_equals_det_on_built_matrices():

@@ -92,7 +92,7 @@ def test_cached_blocks_and_rotations_are_read_only():
     block = majorana._BLOCKS[circuit.gates()[0].gate]
     with pytest.raises(ValueError):
         block[0, 0] = 2.0
-    rotations = pfaffian._PREFIX_R[circuit]
+    _, rotations = pfaffian._PREFIX_R[circuit]
     # one rotation per y-prefix: through segments 0, 1 and 2
     assert set(rotations) == {y for t in range(3) for y in itertools.product((0, 1), repeat=t)}
     for r in rotations.values():
