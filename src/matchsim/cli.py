@@ -174,14 +174,6 @@ def _format_record(rec_bits, order):
     return " ".join(f"{rid}={d[rid]}" for rid in order if rid in d)
 
 
-def _distinct_records(bits, leaf, order):
-    """The distinct rows of a sampler's (bits, leaf) as (record id, bit)
-    tuples over ``order``, indexed by leaf."""
-    records = np.zeros((leaf.max(initial=-1) + 1, bits.shape[1]), dtype=bits.dtype)
-    records[leaf] = bits
-    return [tuple(zip(order, row)) for row in records.tolist()]
-
-
 def cmd_sample(args) -> tuple[int, RunReport]:
     circuit = _read_lowered(args.circuit, "sample")
     backend = args.backend if args.backend != "auto" else "pfaffian"
@@ -191,13 +183,11 @@ def cmd_sample(args) -> tuple[int, RunReport]:
     elif backend == "pfaffian":
         work, _ = compile_circuit(circuit)
         sampler = pfaffian.ChainRuleSampler(work)
-        bits, index = pfaffian.sample_many(work, args.shots, args.seed, sampler=sampler)
-        keys = _distinct_records(bits, index, sampler.order)
+        keys, index = pfaffian.sample_many(work, args.shots, args.seed, sampler=sampler)
         report.counters["conditionals_cached"] = len(sampler.cache)
     elif backend == "heisenberg":
-        sampler = heisenberg.heisenberg_sampler(circuit)
-        bits, index = pfaffian.sample_many(circuit, args.shots, args.seed, sampler=sampler)
-        keys = _distinct_records(bits, index, sampler.order)
+        keys, index = pfaffian.sample_many(circuit, args.shots, args.seed,
+                                           sampler=heisenberg.heisenberg_sampler(circuit))
     else:
         raise BackendInapplicable(backend, "unknown backend")
     order = [m.record_id for m in circuit.measurements()]

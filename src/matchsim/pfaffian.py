@@ -466,14 +466,14 @@ class ChainRuleSampler:
 
         Shot i takes outcome 0 at step k when ``uniforms[i, k]`` is below
         the conditional probability of 0 given its prefix, clamped to
-        [0, 1].  Returns (bits, leaf): the (shots, steps) uint8 records in
-        ``order``, and each shot's index among the distinct records in
-        lexicographic order, as ``np.unique(bits, axis=0,
-        return_inverse=True)`` numbers them.  A prefix reached below
-        probability ``ZERO_PREFIX`` raises ZeroProbabilityPrefix.
+        [0, 1].  Returns (records, leaf), the shape
+        ``oracle.sample_distribution`` returns: the distinct records drawn,
+        as (record id, bit) tuples in ``order`` sorted by their bits, and
+        each shot's index into them.  A prefix reached below probability
+        ``ZERO_PREFIX`` raises ZeroProbabilityPrefix.  When one call meets
+        more than one error, which of them it raises is unspecified.
         """
         shots = len(uniforms)
-        bits = np.zeros((shots, len(self.order)), dtype=np.uint8)
         node = np.zeros(shots, dtype=np.intp)  # each shot's index into ``prefixes``
         prefixes, denoms = [()] * min(shots, 1), [1.0] * min(shots, 1)
         for step in range(len(self.order)):
@@ -485,21 +485,20 @@ class ChainRuleSampler:
             pairs = [self._conditionals(prefix, dict(zip(self.order, prefix)), d)
                      for prefix, d in zip(prefixes, denoms)]
             cond0 = np.array([min(max(p0 / d, 0.0), 1.0) for (p0, _), d in zip(pairs, denoms)])
-            bits[:, step] = uniforms[:, step] >= cond0[node]
             # children 2j, 2j + 1 of prefix j, renumbered densely in order
-            child = 2 * node + bits[:, step]
+            child = 2 * node + (uniforms[:, step] >= cond0[node])
             reached = np.bincount(child, minlength=2 * len(prefixes)) > 0
             node = (np.cumsum(reached) - 1)[child]
             kids = [divmod(c, 2) for c in np.flatnonzero(reached).tolist()]
             prefixes = [prefixes[j] + (b,) for j, b in kids]
             denoms = [pairs[j][b] for j, b in kids]
-        return bits, node
+        return [tuple(zip(self.order, prefix)) for prefix in prefixes], node
 
 
 def sample_many(circuit: Circuit, shots: int, seed: int,
                 sampler: ChainRuleSampler | None = None):
     """Deterministic multi-shot sampling with a shared conditional cache;
-    returns ``sampler.sample``'s (bits, leaf).
+    returns ``sampler.sample``'s (records, leaf).
 
     Shot i consumes row i of a uniform table drawn once from the master
     seed (a counter scheme: the row index addresses the stream), so results

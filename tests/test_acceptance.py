@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import time
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -86,11 +87,12 @@ def _suite_circuit(idx, rng):
 def _sampled_counts(circuit, records, shots, seed):
     """Chain-rule samples of ``circuit``, counted by their bits on
     ``records``."""
-    sampler = ChainRuleSampler(circuit)
-    bits, _ = sample_many(circuit, shots, seed, sampler=sampler)
-    cols = bits[:, [sampler.order.index(r) for r in records]]
-    rows, counts = np.unique(cols, axis=0, return_counts=True)
-    return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+    keys, leaf = sample_many(circuit, shots, seed, sampler=ChainRuleSampler(circuit))
+    counts = Counter()
+    for key, k in zip(keys, np.bincount(leaf).tolist()):
+        bits = dict(key)
+        counts[tuple(bits[r] for r in records)] += k
+    return dict(counts)
 
 
 def test_acceptance_1_differential_equivalence():

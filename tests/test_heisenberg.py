@@ -175,11 +175,8 @@ def test_backend_equivalence_with_pfaffian_k0():
 
 def _sampled_tv(c, shots, seed):
     """TV distance between the Heisenberg sampler's records and the oracle."""
-    sampler = heisenberg_sampler(c)
-    bits, _ = sample_many(c, shots, seed=seed, sampler=sampler)
-    rows, counts = np.unique(bits, axis=0, return_counts=True)
-    counts = {tuple(sorted(zip(sampler.order, row))): k
-              for row, k in zip(rows.tolist(), counts.tolist())}
+    records, leaf = sample_many(c, shots, seed=seed, sampler=heisenberg_sampler(c))
+    counts = {tuple(sorted(rec)): k for rec, k in zip(records, np.bincount(leaf).tolist())}
     return 0.5 * sum(abs(counts.get(tuple(sorted(dict(rec).items())), 0) / shots - p)
                      for rec, p in run_exact(c).probs.items())
 
@@ -187,9 +184,9 @@ def _sampled_tv(c, shots, seed):
 def test_sampling_deterministic_and_matches_oracle():
     spec = InputSpec((ProductBlock((PLUS,)), BitsBlock("00")))
     c = random_mg_circuit(3, 10, seed=24, n_intermediate=1, final_lines=[1], input_spec=spec)
-    bits1, leaf1 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
-    bits2, leaf2 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
-    assert np.array_equal(bits1, bits2) and np.array_equal(leaf1, leaf2)
+    records1, leaf1 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
+    records2, leaf2 = sample_many(c, 1, seed=1, sampler=heisenberg_sampler(c))
+    assert records1 == records2 and np.array_equal(leaf1, leaf2)
     assert _sampled_tv(c, 3000, seed=2) < 0.04
 
 

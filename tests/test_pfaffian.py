@@ -312,18 +312,18 @@ def test_non_canonical_input_rejected():
 
 def test_sampler_deterministic_under_seed():
     c = random_mg_circuit(4, 20, seed=11, n_intermediate=2)
-    bits1, leaf1 = sample_many(c, 5, seed=3)
-    bits2, leaf2 = sample_many(c, 5, seed=3)
-    assert np.array_equal(bits1, bits2) and np.array_equal(leaf1, leaf2)
+    records1, leaf1 = sample_many(c, 5, seed=3)
+    records2, leaf2 = sample_many(c, 5, seed=3)
+    assert records1 == records2 and np.array_equal(leaf1, leaf2)
 
 
 def test_sampler_nonadapt_equals_categorical_draw():
     c = random_mg_circuit(3, 12, seed=12)
-    bits, _ = sample_many(c, 4000, seed=5)
+    records, leaf = sample_many(c, 4000, seed=5)
     dist = run_exact(c)
     marg = dist.marginal([m.record_id for m in c.measurements("final")])
-    rows, counts = np.unique(bits, axis=0, return_counts=True)
-    counts = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+    counts = {tuple(b for _, b in rec): k
+              for rec, k in zip(records, np.bincount(leaf).tolist())}
     tv = 0.5 * sum(abs(counts.get(k, 0) / 4000 - p) for k, p in marg.items())
     assert tv < 0.03
 
@@ -331,15 +331,19 @@ def test_sampler_nonadapt_equals_categorical_draw():
 def test_sampler_conditionals_in_range_and_product_equals_joint():
     c = random_mg_circuit(8, 30, seed=13, n_intermediate=10, final_lines=[0, 7])
     sampler = ChainRuleSampler(c)
-    bits, _ = sample_many(c, 20, seed=6, sampler=sampler)
-    for record in map(tuple, bits.tolist()):
+    records, _ = sample_many(c, 20, seed=6, sampler=sampler)
+    for rec in records:
+        record = tuple(b for _, b in rec)
+        # the clamped conditionals the draw compared against: their product
+        # equals the joint only if p0 + p1 matches each parent prefix
         product, denom = 1.0, 1.0
         for step, bit in enumerate(record):
-            p = sampler.cache[record[:step]][bit]
-            cond = p / denom
-            assert -1e-12 <= cond <= 1 + 1e-12
-            product, denom = product * cond, p
-        joint = joint_prob_entangled(c, dict(zip(sampler.order, record)))
+            p0, p1 = sampler.cache[record[:step]]
+            assert -1e-12 <= p0 / denom <= 1 + 1e-12
+            cond0 = min(max(p0 / denom, 0.0), 1.0)
+            product *= (cond0, 1.0 - cond0)[bit]
+            denom = (p0, p1)[bit]
+        joint = joint_prob_entangled(c, dict(rec))
         assert abs(product - joint) < 1e-8
 
 
@@ -399,12 +403,13 @@ _UNMEASURED = Circuit(2, bits_input("01"), (Gate(0, FSWAP),))
        shots=st.sampled_from([0, 1, 200]), seed=st.integers(0, 2 ** 32 - 1))
 def test_level_descent_equals_per_shot_loop(c, backend, shots, seed):
     table = np.random.default_rng(seed).random((shots, max(1, len(c.measurements()))))
-    bits, leaf = backend(c).sample(table)
+    sampler = backend(c)
+    records, leaf = sampler.sample(table)
     reference = _per_shot_records(backend(c), table)
-    assert bits.dtype == np.uint8 and bits.shape == (shots, len(c.measurements()))
-    assert list(map(tuple, bits.tolist())) == reference
-    distinct = sorted(set(reference))
-    assert leaf.tolist() == [distinct.index(r) for r in reference]
+    assert all([rid for rid, _ in rec] == sampler.order for rec in records)
+    distinct = [tuple(b for _, b in rec) for rec in records]
+    assert distinct == sorted(set(reference))
+    assert [distinct[i] for i in leaf.tolist()] == reference
 
 
 def test_pf_squared_equals_det_on_built_matrices():
