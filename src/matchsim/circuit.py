@@ -314,19 +314,6 @@ class MagicBlock:
         return MAGIC_AMPS.copy()
 
 
-Block = Union[BitsBlock, ProductBlock, EntangledBlock, MagicBlock]
-
-
-def block_is_fermionic(block: Block) -> bool:
-    """True iff all nonzero amplitudes share one Hamming-weight parity."""
-    amps = block.state()
-    n = block.n
-    par = np.array([bin(i).count("1") & 1 for i in range(2 ** n)])
-    nz = np.abs(amps) > NORM_TOL
-    parities = set(par[nz].tolist())
-    return len(parities) <= 1
-
-
 @dataclass(frozen=True, eq=False)
 class InputSpec:
     """Ordered blocks of input state, covering lines left to right."""
@@ -467,29 +454,21 @@ class Circuit:
         return any(isinstance(i, Macro) for i in self.program)
 
     def split_segments(self):
-        """Split the program at intermediate measurements.
-
-        Returns (segments, intermediates, finals) where ``segments[t]`` is the
-        list of (possibly guarded) Gate instructions between intermediate
+        """Split the program at intermediate measurements: ``segments[t]`` is
+        the list of (possibly guarded) Gate instructions between intermediate
         measurement t-1 and t, and ``segments[-1]`` holds the gates after the
-        last intermediate measurement.  Final measurements are collected
-        separately; gates occurring after a final measurement are rejected by
-        the Pfaffian/Heisenberg backends at a later stage, not here.
+        last one.  Gates after a final measurement are rejected when a
+        backend builds its plan (``pfaffian.plan``), not here.
         """
         if self.has_macros():
             raise ValidationError("macro", "circuit contains unexpanded macros")
         segments = [[]]
-        intermediates = []
-        finals = []
         for ins in self.program:
             if isinstance(ins, Gate):
                 segments[-1].append(ins)
             elif ins.role == "intermediate":
-                intermediates.append(ins)
                 segments.append([])
-            else:
-                finals.append(ins)
-        return segments, intermediates, finals
+        return segments
 
 
 def instantiate_segments(circuit: Circuit, outcomes, upto=None) -> list:
@@ -501,7 +480,7 @@ def instantiate_segments(circuit: Circuit, outcomes, upto=None) -> list:
     up to the t-th intermediate measurement.  ``upto`` limits resolution to
     the first ``upto`` segments (all, if None).
     """
-    segments, _, _ = circuit.split_segments()
+    segments = circuit.split_segments()
     if upto is not None:
         segments = segments[:upto]
     resolved = []

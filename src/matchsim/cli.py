@@ -134,7 +134,7 @@ def _marginal_probability(circuit, pattern, backend, stats):
         if not inters and len(assignment) == 1:
             ((rid, bit),) = assignment.items()
             line = next(m.line for m in circuit.measurements("final") if m.record_id == rid)
-            p = heisenberg.strong_single_line(circuit, line, outcome=bit)
+            p = heisenberg.strong_single_line(circuit, line, outcome=bit, stats=stats)
             return p, {"terms": (2 * circuit.n) ** 2}
         total = _sum_over(inters, assignment, lambda oc: heisenberg.joint_prob_few_adaptive(
             circuit, oc, stats=stats))
@@ -152,7 +152,7 @@ def _pick_backend(requested, circuit, pattern):
         return requested
     if not _intermediate_records(circuit) and sum(ch != "*" for ch in pattern) == 1:
         try:
-            pfaffian.check_computational_program(circuit, "heisenberg")
+            pfaffian.plan(circuit, "heisenberg")
             return "heisenberg"
         except BackendInapplicable:
             pass
@@ -229,7 +229,7 @@ def _xcheck_one(circuit):
         return devs, flags
     try:
         devs["heisenberg"] = _deviation(
-            dist, lambda oc: heisenberg.joint_prob_few_adaptive(circuit, oc))
+            dist, lambda oc: heisenberg.joint_prob_few_adaptive(circuit, oc, stats=stats))
     except BackendInapplicable as exc:
         flags.append(f"heisenberg skipped: {exc.reason}")
     return devs, flags

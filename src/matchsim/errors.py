@@ -57,10 +57,6 @@ class BlockTooLarge(Inapplicable):
     """An entangled input block exceeds the configured width cap."""
 
 
-class ImaginaryResidual(MatchsimError):
-    """A probability evaluated with an imaginary part above tolerance."""
-
-
 class BudgetExceeded(Inapplicable):
     """The estimated summand count exceeds the evaluation budget."""
 

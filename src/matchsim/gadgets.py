@@ -37,7 +37,6 @@ from .circuit import (
 from .errors import (
     DecompositionFailure,
     DeterminantMismatch,
-    MaxAttemptsExceeded,
     NoMagicAvailable,
     NotUnitary,
     UnsupportedLayout,
@@ -432,17 +431,6 @@ SWAP_CORRECTIONS = (
 )
 
 
-def _move_block_up(exp: GadgetExpansion, block_start, block_len, steps):
-    """Move a contiguous even-parity block up by ``steps`` lines with plain
-    fermionic swaps; each crossed line sinks directly below the block and
-    the crossing is exact because the block is fermionic."""
-    p = block_start
-    for _ in range(steps):
-        for j in range(block_len):
-            exp.gate(p - 1 + j, FSWAP)
-        p -= 1
-
-
 def swap_gadget(target, magic_start, sink_base, ids: IdGen, post_selected=False):
     """Deterministic SWAP of lines (target, target+1) consuming one magic
     block (4 lines at magic_start..magic_start+3, below the targets).
@@ -466,7 +454,11 @@ def swap_gadget(target, magic_start, sink_base, ids: IdGen, post_selected=False)
     exp.cost.magic_consumed = 1
     exp.cost.ancilla_lines = 4
     t = target
-    _move_block_up(exp, magic_start, 4, magic_start - t - 1)
+    # move the block up to t+1 with plain fSWAPs; each crossed line sinks
+    # directly below it, and the crossing is exact because the block is
+    # fermionic
+    for p in range(magic_start, t + 1, -1):
+        exp.extend(fswap_ladder(p - 1, p + 3))
     # layout now: t: alpha1 | t+1..t+4: M | t+5: alpha2
     exp.gate(t, HADAMARD_PAIR)
     exp.gate(t + 4, HADAMARD_PAIR)
@@ -636,39 +628,6 @@ def plus_state_gadget(x, a1, a2, ids: IdGen):
     return exp, (t1, t2, m)
 
 
-def run_plus_state_gadget(x, seed, max_attempts=None):
-    """Drive the repeat-until-success loop on the dense oracle.
-
-    Returns (attempts_used, final_two_line_state) with |+> on the second
-    line; raises MaxAttemptsExceeded when the budget runs out."""
-    from .oracle import StateVector
-
-    budget = max_attempts if max_attempts is not None else default_plus_attempts(x)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ids = IdGen()
-    state = StateVector(2, np.array([1, 0, 0, 0], dtype=complex))
-    p_succ = plus_gadget_success_probability(x)
-    attempts = 0
-    while attempts < budget:
-        exp, records = plus_state_gadget(x, 0, 1, ids)
-        outcomes = {}
-        for ins in exp.instructions:
-            if isinstance(ins, Measure):
-                probs = state.measure_probabilities(ins.line, ins.basis)
-                bit = 0 if rng.random() < probs[0] else 1
-                state.collapse(ins.line, bit, ins.basis)
-                outcomes[ins.record_id] = bit
-            elif ins.guard is None or ins.guard.fires(outcomes):
-                state.apply_gate(ins.gate, ins.line)
-        t1, t2, m = (outcomes[r] for r in records)
-        if t1 == t2:
-            attempts += 1
-            if m == 0:
-                return attempts, state
-        # voided or failed attempt: both lines are computational again
-    bound = 1 - (1 - p_succ) ** budget
-    raise MaxAttemptsExceeded(budget, bound)
-
 # ---------------------------------------------------------------------------
 # Two-qubit input preparation
 # ---------------------------------------------------------------------------
@@ -684,15 +643,6 @@ def pair_prep_unitary(amps):
     theta = float(np.arctan2(ss[1], ss[0]))
     ub = vh.T @ np.diag([1.0, -1.0j])
     return np.kron(uu, ub) @ _interaction_matrix(theta, 0.0, 0.0)
-
-
-def prepare_layout_input(patterns) -> InputSpec:
-    """The |+>|00>|+>|00>...|+> input the preparation gadget starts from."""
-    blocks = [ProductBlock((PLUS,))]
-    for _ in patterns:
-        blocks.append(BitsBlock("00"))
-        blocks.append(ProductBlock((PLUS,)))
-    return InputSpec(tuple(blocks))
 
 
 def prepare_two_qubit_inputs(patterns, ids: IdGen) -> GadgetExpansion:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit
-from .errors import BackendInapplicable, BudgetExceeded, ImaginaryResidual
+from .errors import BackendInapplicable, BudgetExceeded
 from .majorana import (
     apply_majorana_sum,
     expectation_pauli,
@@ -22,40 +22,41 @@ from .majorana import (
     t_from_r,
 )
 from .pfaffian import (
+    NEG_CLAMP,
     ChainRuleSampler,
     EvalStats,
+    _clamp_probability,
     _projector_rows,
-    check_computational_program,
     measurement_rows,
+    plan,
 )
 
-IMAG_TOL = 1e-10
-NEG_CLAMP = 1e-9
 DEFAULT_TERM_BUDGET = 400_000  # summand cap above GROUPED_N_CAP lines
 GROUPED_N_CAP = 16  # dense evaluation holds 2^n amplitudes
 
 
-def strong_single_line(circuit: Circuit, line: int, outcome: int = 1) -> float:
+def strong_single_line(circuit: Circuit, line: int, outcome: int = 1, *,
+                       stats: EvalStats | None = None) -> float:
     """Probability that a final computational measurement of ``line`` yields
     ``outcome``, for circuits without intermediate measurements.
 
     Evaluates the projector's row pair against the (2n)^2 input expectation
-    values; each factorizes over the input blocks.
+    values; each factorizes over the input blocks.  The value is clamped to
+    [0, 1], and ``stats.flags`` notes a residual beyond ``NEG_CLAMP``.
     """
-    check_computational_program(circuit, "heisenberg")
-    if circuit.measurements("intermediate"):
+    p = plan(circuit, "heisenberg")
+    if p.intermediates:
         raise BackendInapplicable("heisenberg", "strong_single_line requires NONADAPT")
-    if line not in [m.line for m in circuit.measurements("final")]:
+    if line not in [m.line for m in p.finals]:
         raise BackendInapplicable("heisenberg", f"line {line + 1} is not measured finally")
+    stats = stats if stats is not None else EvalStats()
     n = circuit.n
     t = t_from_r(segment_rotation(circuit.gates(), n))
-    value = _eval_pair(_projector_rows(t[line], outcome), circuit.input, n)
-    if abs(value.imag) > IMAG_TOL:
-        raise ImaginaryResidual(f"probability has imaginary part {value.imag:.3e}")
-    p = float(value.real)
-    if p < -NEG_CLAMP or p > 1 + NEG_CLAMP:
-        raise ImaginaryResidual(f"probability {p} outside [0,1] beyond tolerance")
-    return min(max(p, 0.0), 1.0)
+    value = _clamp_probability(_eval_pair(_projector_rows(t[line], outcome), circuit.input, n),
+                               stats.flags, "heisenberg")
+    if value > 1 + NEG_CLAMP:
+        stats.flags.append(f"probability above 1 by {value - 1:.2e}")
+    return min(value, 1.0)
 
 
 def _pair_expectations(spec, n):
@@ -83,7 +84,6 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
     evaluated densely (``_eval_grouped``).  Above that, ``DEFAULT_TERM_BUDGET``
     admits at most one projector, evaluated by the single-line pair formula.
     """
-    check_computational_program(circuit, "heisenberg")
     stats = stats if stats is not None else EvalStats()
     rows = measurement_rows(circuit, outcomes, backend="heisenberg")
     n = circuit.n
@@ -97,14 +97,7 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
         value = _eval_pair(rows, circuit.input, n)
     else:
         value = 1.0 + 0.0j
-    if abs(value.imag) > NEG_CLAMP:
-        raise ImaginaryResidual(f"probability has imaginary part {value.imag:.3e}")
-    p = float(value.real)
-    if p < 0:
-        if p < -NEG_CLAMP:
-            raise ImaginaryResidual(f"negative probability {p:.3e}")
-        p = 0.0
-    return p
+    return _clamp_probability(value, stats.flags, "heisenberg")
 
 
 def _eval_grouped(rows, spec, n):

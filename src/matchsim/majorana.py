@@ -62,13 +62,6 @@ class PauliString:
     def n(self) -> int:
         return len(self.letters)
 
-    def matrix(self) -> np.ndarray:
-        """Dense 2^n matrix; for tests and small-block work only."""
-        m = np.array([[1.0]], dtype=complex)
-        for code in self.letters:
-            m = np.kron(m, PAULI_MATS[code])
-        return self.phase * m
-
 
 def identity_string(n: int) -> PauliString:
     return PauliString(0, np.zeros(n, dtype=np.uint8))
@@ -233,10 +226,6 @@ def h_matrix(n: int) -> np.ndarray:
         h[2 * l, 2 * l + 1] = 1j
         h[2 * l + 1, 2 * l] = -1j
     return h
-
-
-def orthogonality_residual(r: np.ndarray) -> float:
-    return float(np.max(np.abs(r @ r.T - np.eye(r.shape[0]))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,17 @@ contraction matrix, so a joint costs poly(n) + 2^{2k} poly(k): one Pfaffian of
 F, one solve for the 2k x 2k Schur complement, and one Pfaffian of size <= 2k
 per cross term.  A singular or near-singular F falls back to one full
 Pfaffian per cross term, 2^{2k} poly(n).
+
+What depends only on the circuit (the admissibility check, the measurements,
+the prefix rotations, the input rows and h) is built once per circuit
+object, in its ``Plan``; a joint stacks its measurement rows between the
+input rows and takes one contraction matrix and its Pfaffians.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +31,7 @@ from .circuit import (
     MagicBlock,
     ProductBlock,
     Gate,
-    Measure,
+    Macro,
     instantiate_segments,
 )
 from .errors import (
@@ -90,24 +96,6 @@ def pfaffian(m, check=True) -> complex:
     return complex(pf)
 
 
-def pfaffian_brute(m) -> complex:
-    """Signed perfect-matching expansion along the first row; test oracle,
-    exponential cost."""
-    a = np.asarray(m, dtype=complex)
-    d = a.shape[0]
-    if d % 2 == 1:
-        return 0.0
-    if d == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    rest = list(range(1, d))
-    for pos, j in enumerate(rest):
-        keep = [i for i in rest if i != j]
-        sub = a[np.ix_(keep, keep)]
-        total += (-1) ** pos * a[0, j] * pfaffian_brute(sub)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Contraction rows
 # ---------------------------------------------------------------------------
@@ -151,8 +139,8 @@ class EvalStats:
     pair when the zone is not empty (of the Schur complement; on the
     fallback, of the pair's full matrix, except for the pair (0, 0), whose
     matrix is F).  ``schur_fallbacks`` counts the joints whose F was too
-    close to singular for the Schur route; ``flags`` holds clamped imaginary
-    and negative residuals.
+    close to singular for the Schur route; ``flags`` holds either backend's
+    clamped residuals (imaginary, negative, or a single-line value above 1).
     """
 
     term_count: int = 0
@@ -162,72 +150,63 @@ class EvalStats:
 
 
 # ---------------------------------------------------------------------------
-# Circuit plumbing shared with the Heisenberg backend
+# One plan per circuit, shared with the Heisenberg backend
 # ---------------------------------------------------------------------------
 
 
-def check_computational_program(circuit: Circuit, backend: str):
-    """Common backend admissibility: lowered program, computational bases,
-    no gates after final measurements."""
-    if circuit.has_macros():
-        raise BackendInapplicable(backend, "circuit contains unexpanded macros")
-    seen_final = False
+@dataclass(eq=False)
+class Plan:
+    """What every joint on one circuit object shares; it does not refer to
+    the circuit, so it dies with it.  ``position`` maps a record id to its
+    intermediate's index, or to -1 for a final.  ``prefix_r`` maps the
+    outcomes y_<s of the intermediates before segment s to the read-only
+    cumulative rotation through it, which depends on nothing else, since
+    guards read only earlier records.  ``zone`` is the Pfaffian input, built
+    by the first Pfaffian joint (``_pfaffian_input``)."""
+
+    intermediates: list
+    finals: list
+    position: dict
+    prefix_r: dict = field(default_factory=dict)
+    zone: tuple | None = None
+
+
+_PLANS = weakref.WeakKeyDictionary()
+
+
+def plan(circuit: Circuit, backend: str) -> Plan:
+    """The circuit's plan.  Its first use builds it in one pass over the
+    program, which applies both backends' admissibility rules: a lowered
+    program, computational bases, no gate after a final measurement."""
+    if circuit in _PLANS:
+        return _PLANS[circuit]
+    intermediates, finals, problem = [], [], None
     for ins in circuit.program:
-        if isinstance(ins, Measure):
-            if not isinstance(ins.basis, Computational):
-                raise BackendInapplicable(backend, "non-computational measurement basis")
-            seen_final = seen_final or ins.role == "final"
-        elif isinstance(ins, Gate) and seen_final:
-            raise BackendInapplicable(backend, "gate after a final measurement")
-
-
-def resolve_outcomes(circuit: Circuit, outcomes: dict, backend: str):
-    """Split an outcome assignment into (y-prefix, finals subset).
-
-    ``outcomes`` must cover a contiguous prefix of the intermediate
-    measurements; final records may be included only when every intermediate
-    is assigned.  Returns (intermediates list, assigned prefix length,
-    assigned finals in program order).
-    """
-    _, intermediates, finals = circuit.split_segments()
-    inter_ids = [m.record_id for m in intermediates]
-    final_ids = {m.record_id for m in finals}
-    for rid in outcomes:
-        if rid not in inter_ids and rid not in final_ids:
-            raise BackendInapplicable(backend, f"unknown record id {rid!r}")
-    t = 0
-    while t < len(inter_ids) and inter_ids[t] in outcomes:
-        t += 1
-    for rid in inter_ids[t:]:
-        if rid in outcomes:
-            raise BackendInapplicable(
-                backend, "outcome assignment skips an intermediate measurement"
-            )
-    assigned_finals = [m for m in finals if m.record_id in outcomes]
-    if assigned_finals and t < len(inter_ids):
-        raise BackendInapplicable(
-            backend, "final outcomes given while intermediates are unassigned"
-        )
-    return intermediates, t, assigned_finals
-
-
-# Per circuit, its intermediate measurements and the read-only cumulative
-# rotation through segment s, keyed by the outcomes y_<s of the intermediates
-# before it.  Guards may read only earlier records (``guard-earlier``), so that
-# rotation depends on y_<s alone; the entries die with their circuit.
-_PREFIX_R = weakref.WeakKeyDictionary()
+        if isinstance(ins, Macro):
+            raise BackendInapplicable(backend, "circuit contains unexpanded macros")
+        if isinstance(ins, Gate):
+            if finals:
+                problem = problem or "gate after a final measurement"
+        elif not isinstance(ins.basis, Computational):
+            problem = problem or "non-computational measurement basis"
+        else:
+            (intermediates if ins.role == "intermediate" else finals).append(ins)
+    if problem:
+        raise BackendInapplicable(backend, problem)
+    position = {m.record_id: s for s, m in enumerate(intermediates)}
+    position.update((m.record_id, -1) for m in finals)
+    _PLANS[circuit] = Plan(intermediates, finals, position)
+    return _PLANS[circuit]
 
 
 def cumulative_ts(circuit: Circuit, outcomes: dict, upto: int, with_final: bool):
     """Cumulative T matrices T^(1), .., T^(upto) (and the final-segment T as
     the last entry when ``with_final``), with guards resolved from outcomes.
     The segments are resolved only when a cumulative rotation is missing."""
-    entry = _PREFIX_R.get(circuit)
-    if entry is None:
-        entry = _PREFIX_R[circuit] = (circuit.measurements("intermediate"), {})
-    inters, prefix_r = entry
-    y = tuple(outcomes[m.record_id] for m in inters[:upto])
-    keys = [y[:s] for s in range(len(inters) + 1 if with_final else upto)]
+    p = plan(circuit, "pfaffian")
+    prefix_r = p.prefix_r
+    y = tuple(outcomes[m.record_id] for m in p.intermediates[:upto])
+    keys = [y[:s] for s in range(len(p.intermediates) + 1 if with_final else upto)]
     if any(key not in prefix_r for key in keys):
         segs = instantiate_segments(circuit, outcomes, upto=None if with_final else upto)
         r = np.eye(2 * circuit.n)
@@ -243,21 +222,27 @@ def cumulative_ts(circuit: Circuit, outcomes: dict, upto: int, with_final: bool)
 def measurement_rows(circuit, outcomes, backend="pfaffian") -> np.ndarray:
     """Measurement rows of the joint-probability expression as one complex
     (m, 2n) array in operator order (ket-side adaptive pairs, final pairs,
-    bra-side adaptive pairs), for an assignment covering a y-prefix and a
-    finals subset.  The nominal summand count of the displayed sum is
-    (2n)^m."""
-    intermediates, t, assigned_finals = resolve_outcomes(circuit, outcomes, backend)
+    bra-side adaptive pairs).  The nominal summand count of the displayed sum
+    is (2n)^m.
+
+    ``outcomes`` must cover a contiguous prefix of the intermediate
+    measurements; final records may be included only when every intermediate
+    is assigned."""
+    p = plan(circuit, backend)
+    for rid in outcomes:
+        if rid not in p.position:
+            raise BackendInapplicable(backend, f"unknown record id {rid!r}")
+    t = sum(p.position[rid] >= 0 for rid in outcomes)
+    if any(p.position[rid] >= t for rid in outcomes):
+        raise BackendInapplicable(backend, "outcome assignment skips an intermediate measurement")
+    assigned_finals = [m for m in p.finals if m.record_id in outcomes]
+    if assigned_finals and t < len(p.intermediates):
+        raise BackendInapplicable(backend, "final outcomes given while intermediates are unassigned")
     ts = cumulative_ts(circuit, outcomes, t, bool(assigned_finals))
-    rows = []
-    for s in range(t):
-        m = intermediates[s]
-        rows += _projector_rows(ts[s][m.line], outcomes[m.record_id])
-    for m in assigned_finals:
-        rows += _projector_rows(ts[-1][m.line], outcomes[m.record_id])
-    for s in reversed(range(t)):
-        m = intermediates[s]
-        rows += _projector_rows(ts[s][m.line], outcomes[m.record_id])
-    return np.array(rows, dtype=complex).reshape(-1, 2 * circuit.n)
+    adaptive = [_projector_rows(ts[s][m.line], outcomes[m.record_id])
+                for s, m in enumerate(p.intermediates[:t])]
+    finals = [_projector_rows(ts[-1][m.line], outcomes[m.record_id]) for m in assigned_finals]
+    return np.array(adaptive + finals + adaptive[::-1], dtype=complex).reshape(-1, 2 * circuit.n)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +250,9 @@ def measurement_rows(circuit, outcomes, backend="pfaffian") -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CanonicalInput:
-    """bits + trailing superposition zone (|+> line and/or an entangled
-    block, merged); a bit-string input has a zone of width 0 whose single
-    amplitude is 1."""
-
-    bits: str
-    zone_amps: np.ndarray
+# bits + trailing superposition zone (|+> line and/or an entangled block,
+# merged); a bit-string input has a zone of width 0 whose single amplitude is 1
+CanonicalInput = namedtuple("CanonicalInput", "bits zone_amps")
 
 
 def split_canonical_input(circuit: Circuit):
@@ -303,14 +283,29 @@ def split_canonical_input(circuit: Circuit):
     return CanonicalInput(bits, zone)
 
 
-def _input_rows(lines, n, descending=False):
-    """Rows for input 1-positions, ascending on the ket side and descending
-    on the bra side."""
-    order = sorted(lines, reverse=descending)
-    rows = np.zeros((len(order), 2 * n), dtype=complex)
-    for i, l in enumerate(order):
-        rows[i, 2 * l] = 1.0  # X-type Majorana index of line l
+def _input_rows(lines, n):
+    """One row per input 1-position, in the order given: the X-type
+    Majorana index 2l of line l."""
+    rows = np.zeros((len(lines), 2 * n), dtype=complex)
+    rows[np.arange(len(lines)), 2 * np.asarray(lines, dtype=int)] = 1.0
     return rows
+
+
+def _pfaffian_input(circuit: Circuit):
+    """The plan's read-only ``zone``, built on first use: (zone amplitudes,
+    zone width k, h, bra rows, ket rows).  The ket rows are the input
+    1-positions and then the zone lines, ascending; the bra rows descend."""
+    p = plan(circuit, "pfaffian")
+    if p.zone is None:
+        canon = split_canonical_input(circuit)
+        n, k = circuit.n, circuit.n - len(canon.bits)
+        ket = _input_rows([i for i, b in enumerate(canon.bits) if b == "1"]
+                          + list(range(n - k, n)), n)
+        amps, h, bra = canon.zone_amps, h_matrix(n), ket[::-1]
+        for a in (amps, h, bra, ket):
+            a.flags.writeable = False
+        p.zone = (amps, k, h, bra, ket)
+    return p.zone
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +313,18 @@ def _input_rows(lines, n, descending=False):
 # ---------------------------------------------------------------------------
 
 
-def _clamp_probability(value, flags) -> float:
+def _clamp_probability(value, flags, backend) -> float:
+    """The real part of a joint probability of ``backend``, clamped at 0.
+    An imaginary part or a negative value beyond ``NEG_CLAMP`` is flagged;
+    a value that is not finite makes the backend inapplicable."""
     if not np.isfinite(value):
-        raise BackendInapplicable("pfaffian", f"non-finite joint probability {value}")
+        raise BackendInapplicable(backend, f"non-finite joint probability {value}")
     if abs(value.imag) > NEG_CLAMP:
         flags.append(f"imaginary residual {value.imag:.2e}")
     p = float(value.real)
-    if p < 0:
-        if p < -NEG_CLAMP:
-            flags.append(f"negative probability {p:.2e}")
-        p = 0.0
-    return p
+    if p < -NEG_CLAMP:
+        flags.append(f"negative probability {p:.2e}")
+    return max(p, 0.0)
 
 
 def _pair_sum(amps, pf_of):
@@ -392,30 +388,23 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
     ``SCHUR_CAP``), each pair's full Pfaffian is taken instead, and
     ``stats.schur_fallbacks`` counts the joint.
     """
-    check_computational_program(circuit, "pfaffian")
-    canon = split_canonical_input(circuit)
+    amps, k, h, bra_rows, ket_rows = _pfaffian_input(circuit)
     stats = stats if stats is not None else EvalStats()
-    n = circuit.n
-    base = [i for i, b in enumerate(canon.bits) if b == "1"]
-    rows = np.vstack([_input_rows(base, n, descending=True),
-                      measurement_rows(circuit, outcomes), _input_rows(base, n)])
-    zone = range(len(canon.bits), n)
-    k, f = len(zone), len(rows)
-    if k:
-        rows = np.vstack([_input_rows(zone, n, descending=True), rows, _input_rows(zone, n)])
+    rows = np.vstack([bra_rows, measurement_rows(circuit, outcomes), ket_rows])
+    f = len(rows) - 2 * k
     # operator order: [bra zone (k), F (f), ket zone (k)]
-    o = build_o(rows, h_matrix(n))
+    o = build_o(rows, h)
     pf_f = pfaffian(o[k:k + f, k:k + f], check=False)
     stats.evaluated_pairs += 1
     if not k:
-        return _clamp_probability(pf_f, stats.flags)
+        return _clamp_probability(pf_f, stats.flags, "pfaffian")
     s = _schur_complement(o, k, f) if abs(pf_f) > PF_FLOOR else None
     if s is not None:
         def schur(bra, ket):
             stats.evaluated_pairs += 1
             return pfaffian(s[np.ix_(bra + ket, bra + ket)], check=False)
 
-        return _clamp_probability(pf_f * _pair_sum(canon.zone_amps, schur), stats.flags)
+        return _clamp_probability(pf_f * _pair_sum(amps, schur), stats.flags, "pfaffian")
     stats.schur_fallbacks += 1
     middle = list(range(k, k + f))
 
@@ -426,7 +415,7 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
         idx = bra + middle + [f + j for j in ket]
         return pfaffian(o[np.ix_(idx, idx)], check=False)
 
-    return _clamp_probability(_pair_sum(canon.zone_amps, full), stats.flags)
+    return _clamp_probability(_pair_sum(amps, full), stats.flags, "pfaffian")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,97 @@
+"""Reference helpers that only the tests use: brute-force and dense
+counterparts of the package's fast paths, and fixtures of the gadget tests."""
+
+import numpy as np
+
+from matchsim.circuit import NORM_TOL, BitsBlock, InputSpec, Measure, ProductBlock
+from matchsim.errors import MaxAttemptsExceeded
+from matchsim.gadgets import (
+    PLUS,
+    IdGen,
+    default_plus_attempts,
+    plus_gadget_success_probability,
+    plus_state_gadget,
+)
+from matchsim.majorana import PAULI_MATS
+from matchsim.oracle import StateVector
+
+
+def pfaffian_brute(m) -> complex:
+    """Signed perfect-matching expansion along the first row; test oracle,
+    exponential cost."""
+    a = np.asarray(m, dtype=complex)
+    d = a.shape[0]
+    if d % 2 == 1:
+        return 0.0
+    if d == 0:
+        return 1.0 + 0.0j
+    total = 0.0 + 0.0j
+    rest = list(range(1, d))
+    for pos, j in enumerate(rest):
+        keep = [i for i in rest if i != j]
+        sub = a[np.ix_(keep, keep)]
+        total += (-1) ** pos * a[0, j] * pfaffian_brute(sub)
+    return total
+
+
+def orthogonality_residual(r: np.ndarray) -> float:
+    return float(np.max(np.abs(r @ r.T - np.eye(r.shape[0]))))
+
+
+def pauli_matrix(ps) -> np.ndarray:
+    """Dense 2^n matrix of a ``PauliString``."""
+    m = np.array([[1.0]], dtype=complex)
+    for code in ps.letters:
+        m = np.kron(m, PAULI_MATS[code])
+    return ps.phase * m
+
+
+def block_is_fermionic(block) -> bool:
+    """True iff all nonzero amplitudes share one Hamming-weight parity."""
+    amps = block.state()
+    n = block.n
+    par = np.array([bin(i).count("1") & 1 for i in range(2 ** n)])
+    nz = np.abs(amps) > NORM_TOL
+    parities = set(par[nz].tolist())
+    return len(parities) <= 1
+
+
+def run_plus_state_gadget(x, seed, max_attempts=None):
+    """Drive the repeat-until-success loop on the dense oracle.
+
+    Returns (attempts_used, final_two_line_state) with |+> on the second
+    line; raises MaxAttemptsExceeded when the budget runs out."""
+    budget = max_attempts if max_attempts is not None else default_plus_attempts(x)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ids = IdGen()
+    state = StateVector(2, np.array([1, 0, 0, 0], dtype=complex))
+    p_succ = plus_gadget_success_probability(x)
+    attempts = 0
+    while attempts < budget:
+        exp, records = plus_state_gadget(x, 0, 1, ids)
+        outcomes = {}
+        for ins in exp.instructions:
+            if isinstance(ins, Measure):
+                probs = state.measure_probabilities(ins.line, ins.basis)
+                bit = 0 if rng.random() < probs[0] else 1
+                state.collapse(ins.line, bit, ins.basis)
+                outcomes[ins.record_id] = bit
+            elif ins.guard is None or ins.guard.fires(outcomes):
+                state.apply_gate(ins.gate, ins.line)
+        t1, t2, m = (outcomes[r] for r in records)
+        if t1 == t2:
+            attempts += 1
+            if m == 0:
+                return attempts, state
+        # voided or failed attempt: both lines are computational again
+    bound = 1 - (1 - p_succ) ** budget
+    raise MaxAttemptsExceeded(budget, bound)
+
+
+def prepare_layout_input(patterns) -> InputSpec:
+    """The |+>|00>|+>|00>...|+> input the preparation gadget starts from."""
+    blocks = [ProductBlock((PLUS,))]
+    for _ in patterns:
+        blocks.append(BitsBlock("00"))
+        blocks.append(ProductBlock((PLUS,)))
+    return InputSpec(tuple(blocks))

@@ -28,7 +28,6 @@ from matchsim.gadgets import (
     gadgetize_swaps,
     plus_gadget_success_probability,
     plus_state_gadget,
-    prepare_layout_input,
     prepare_two_qubit_inputs,
     expand_macros,
 )
@@ -39,9 +38,9 @@ from matchsim.pfaffian import (
     EvalStats,
     joint_prob_entangled,
     pfaffian,
-    pfaffian_brute,
     sample_many,
 )
+from helpers import pfaffian_brute, prepare_layout_input
 
 RNG = np.random.default_rng(20260810)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)

@@ -14,13 +14,13 @@ from matchsim.circuit import (
     MatchgateAngles,
     Measure,
     bits_input,
-    block_is_fermionic,
     gates_equal_up_to_phase,
     instantiate_segments,
     matchgate_from_angles,
     matchgate_from_components,
 )
 from matchsim.errors import DeterminantMismatch, NotUnitary, UnresolvedGuard, ValidationError
+from helpers import block_is_fermionic
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -488,6 +488,46 @@ def test_nan_probability_exits_inapplicable(capsys, adaptive_file, monkeypatch):
         assert out == ""
 
 
+def test_nan_heisenberg_probability_exits_inapplicable(capsys, fswap_file, adaptive_file,
+                                                        monkeypatch):
+    import matchsim.heisenberg
+
+    # strong_single_line, picked by auto and requested
+    monkeypatch.setattr(matchsim.heisenberg, "expectation_pauli", lambda ps, spec: float("nan"))
+    for backend in ("auto", "heisenberg"):
+        code, out = run_cli(capsys, "prob", fswap_file, "-p", "1*", "--backend", backend)
+        assert (code, out) == (3, "")
+    # joint_prob_few_adaptive, under prob and sample
+    monkeypatch.setattr(matchsim.heisenberg, "apply_majorana_sum",
+                        lambda weights, table, psi: np.full_like(psi, np.nan))
+    for argv in (["prob", "F", "-p", "0**1", "--backend", "heisenberg"],
+                 ["sample", "F", "--shots", "3", "--backend", "heisenberg"]):
+        code, out = run_argv(capsys, argv, adaptive_file)
+        assert (code, out) == (3, "")
+
+
+def test_heisenberg_residuals_are_flagged(capsys, fswap_file, adaptive_file, monkeypatch):
+    import matchsim.heisenberg
+
+    # fswap_file gives p(a=1) = 0 and p(a=0) = 1
+    eval_pair, eval_grouped = matchsim.heisenberg._eval_pair, matchsim.heisenberg._eval_grouped
+    for shift, pattern, p, flag in ((-0.5, "1*", 0.0, "negative probability -5.00e-01"),
+                                    (0.5, "0*", 1.0, "probability above 1 by 5.00e-01")):
+        monkeypatch.setattr(matchsim.heisenberg, "_eval_pair",
+                            lambda rows, spec, n, s=shift: eval_pair(rows, spec, n) + s + 1e-6j)
+        code, out = run_cli(capsys, "prob", fswap_file, "-p", pattern,
+                            "--backend", "heisenberg", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["probabilities"] == {pattern: p}
+        assert set(doc["flags"]) == {"imaginary residual 1.00e-06", flag}
+    monkeypatch.setattr(matchsim.heisenberg, "_eval_grouped",
+                        lambda rows, spec, n: eval_grouped(rows, spec, n) + 1e-6j)
+    for argv in (["prob", "F", "-p", "0**1", "--backend", "heisenberg"], ["xcheck", "F"]):
+        code, out = run_argv(capsys, argv, adaptive_file)
+        assert code == 0
+        assert "imaginary residual 1.00e-06" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["prob", "F", "-p", "0", "--seed", "4"],
     ["prob", "F", "-p", "0", "--tol", "9"],

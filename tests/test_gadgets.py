@@ -38,15 +38,14 @@ from matchsim.gadgets import (
     hadamard_gadget,
     plus_gadget_success_probability,
     plus_state_gadget,
-    prepare_layout_input,
     prepare_two_qubit_inputs,
-    run_plus_state_gadget,
     single_qubit_unitary,
     swap_gadget,
     toffoli_gadget,
     two_qubit_unitary,
 )
 from matchsim.oracle import StateVector, branch_states, post_select, run_exact
+from helpers import prepare_layout_input, run_plus_state_gadget
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 RNG = np.random.default_rng(77)

@@ -27,11 +27,11 @@ from matchsim.majorana import (
     identity_string,
     majorana_action_table,
     majorana_pauli,
-    orthogonality_residual,
     pauli_product,
     segment_rotation,
     t_from_r,
 )
+from helpers import orthogonality_residual, pauli_matrix
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,7 +79,7 @@ def test_majorana_pauli_basic_forms():
 def test_majorana_matches_dense_construction():
     n = 3
     for mu in range(1, 2 * n + 1):
-        assert np.allclose(majorana_pauli(mu, n).matrix(), dense_majorana(mu, n))
+        assert np.allclose(pauli_matrix(majorana_pauli(mu, n)), dense_majorana(mu, n))
 
 
 def test_pauli_product_phase():
@@ -145,7 +145,7 @@ def test_expectation_matches_dense_on_random_strings():
         letters = rng.integers(0, 4, size=4).astype(np.uint8)
         code = int(rng.integers(0, 4))
         ps = PauliString(code, letters)
-        want = np.vdot(dense, ps.matrix() @ dense)
+        want = np.vdot(dense, pauli_matrix(ps) @ dense)
         got = expectation_pauli(ps, spec)
         assert abs(want - got) < 1e-12
 

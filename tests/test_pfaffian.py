@@ -35,10 +35,10 @@ from matchsim.pfaffian import (
     joint_prob_entangled,
     measurement_rows,
     pfaffian,
-    pfaffian_brute,
     sample_many,
     split_canonical_input,
 )
+from helpers import pfaffian_brute
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
@@ -109,7 +109,7 @@ def test_build_o_qq_and_pp_corners_vanish():
     n = 3
     h = h_matrix(n)
     for descending in (True, False):
-        o = build_o(_input_rows([0, 2], n, descending), h)
+        o = build_o(_input_rows([2, 0] if descending else [0, 2], n), h)
         assert o.shape == (2, 2)
         assert np.allclose(o, 0)
 
@@ -416,7 +416,7 @@ def test_pf_squared_equals_det_on_built_matrices():
     c = random_mg_circuit(4, 18, seed=14, n_intermediate=1, input_spec=bits_input("0110"))
     ones = [1, 2]
     mids = measurement_rows(c, {"m0": 1, "x0": 0, "x1": 1, "x2": 0, "x3": 1})
-    rows = np.vstack([_input_rows(ones, 4, descending=True), mids, _input_rows(ones, 4)])
+    rows = np.vstack([_input_rows(ones[::-1], 4), mids, _input_rows(ones, 4)])
     o = build_o(rows, h_matrix(4))
     pf = pfaffian(o)
     assert abs(pf ** 2 - np.linalg.det(o)) < 1e-8 * max(1.0, abs(np.linalg.det(o)))

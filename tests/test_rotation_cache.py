@@ -1,6 +1,7 @@
 """The rotation caches: each gate's Majorana block and each y-prefix's
-cumulative rotation are computed once, agree bit for bit with a fresh
-computation, cannot be written, and die with their gate or circuit."""
+cumulative rotation (held by the circuit's plan) are computed once, agree bit
+for bit with a fresh computation, cannot be written, and die with their gate
+or circuit.  A joint on a warm plan redoes no per-circuit work."""
 
 import gc
 import itertools
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchsim import majorana, pfaffian
-from matchsim.circuit import instantiate_segments
+from matchsim.circuit import BitsBlock, Circuit, EntangledBlock, InputSpec, instantiate_segments
+from matchsim.heisenberg import joint_prob_few_adaptive
 from matchsim.majorana import gate_rotation_block, t_from_r
 from matchsim.oracle import random_mg_circuit
 from matchsim.pfaffian import _projector_rows, joint_prob_entangled, measurement_rows
@@ -75,16 +77,16 @@ def _warm_circuit():
 
 def test_caches_die_with_their_circuit():
     gc.collect()
-    blocks, prefixes = len(majorana._BLOCKS), len(pfaffian._PREFIX_R)
+    blocks, plans = len(majorana._BLOCKS), len(pfaffian._PLANS)
     circuit = _warm_circuit()
     gates = [g.gate for g in circuit.gates()]
-    assert circuit in pfaffian._PREFIX_R
+    assert circuit in pfaffian._PLANS
     assert all(g in majorana._BLOCKS for g in gates)
     refs = [weakref.ref(circuit)] + [weakref.ref(g) for g in gates]
     del circuit, gates
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert (len(majorana._BLOCKS), len(pfaffian._PREFIX_R)) == (blocks, prefixes)
+    assert (len(majorana._BLOCKS), len(pfaffian._PLANS)) == (blocks, plans)
 
 
 def test_cached_blocks_and_rotations_are_read_only():
@@ -92,9 +94,26 @@ def test_cached_blocks_and_rotations_are_read_only():
     block = majorana._BLOCKS[circuit.gates()[0].gate]
     with pytest.raises(ValueError):
         block[0, 0] = 2.0
-    _, rotations = pfaffian._PREFIX_R[circuit]
+    rotations = pfaffian._PLANS[circuit].prefix_r
     # one rotation per y-prefix: through segments 0, 1 and 2
     assert set(rotations) == {y for t in range(3) for y in itertools.product((0, 1), repeat=t)}
     for r in rotations.values():
         with pytest.raises(ValueError):
             r[0, 0] = 2.0
+
+
+def test_warm_joints_redo_no_per_circuit_work(monkeypatch):
+    amps = np.array([0.6, 0.0, 0.0, 0.8j])
+    spec = InputSpec((BitsBlock("01"), EntangledBlock(2, amps)))
+    circuit = random_mg_circuit(4, 12, seed=8, n_intermediate=2, input_spec=spec)
+    records = list(_records(circuit))
+    cold = [joint_prob_entangled(circuit, outcomes) for outcomes in records]
+
+    def refuse(*args):
+        raise AssertionError("a warm joint redid per-circuit work")
+
+    monkeypatch.setattr(Circuit, "split_segments", refuse)
+    monkeypatch.setattr(pfaffian, "split_canonical_input", refuse)
+    assert [joint_prob_entangled(circuit, outcomes) for outcomes in records] == cold
+    for outcomes in records:
+        joint_prob_few_adaptive(circuit, outcomes)
