@@ -228,10 +228,12 @@ def _xcheck_one(circuit):
                      f"{XCHECK_HEISENBERG_INTERMEDIATES} intermediate measurements")
         return devs, flags
     try:
-        devs["heisenberg"] = _deviation(
-            dist, lambda oc: heisenberg.joint_prob_few_adaptive(circuit, oc, stats=stats))
+        pfaffian.plan(circuit, "heisenberg")
     except BackendInapplicable as exc:
         flags.append(f"heisenberg skipped: {exc.reason}")
+        return devs, flags
+    devs["heisenberg"] = _deviation(
+        dist, lambda oc: heisenberg.joint_prob_few_adaptive(circuit, oc, stats=stats))
     return devs, flags
 
 

@@ -82,18 +82,6 @@ class NoMagicAvailable(MatchsimError):
     """A swap gadget was requested but no unconsumed magic block exists."""
 
 
-class MaxAttemptsExceeded(MatchsimError):
-    """Repeat-until-success budget exhausted."""
-
-    def __init__(self, attempts, success_bound):
-        self.attempts = attempts
-        self.success_bound = success_bound
-        super().__init__(
-            f"no success within {attempts} attempts "
-            f"(cumulative success probability bound {success_bound:.6g})"
-        )
-
-
 class UnsupportedLayout(MatchsimError):
     """Input specification cannot be lowered to canonical form."""
 

@@ -52,7 +52,6 @@ XX_PAIR = matchgate_from_components(X2, X2)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 ANGLE_EPS = 1e-12
-PLUS_FAILURE_EPS = 1e-6  # failure probability of the default |+> attempt budget
 # residual tolerances of the unitary decompositions
 DECOMP_TOL = 1e-10  # unitarity, Euler angles, canonical reconstruction
 FORM_TOL = 1e-9  # the P H P form and the tensor-product split
@@ -586,10 +585,6 @@ def plus_gadget_y(x):
 
 def plus_gadget_success_probability(x):
     return float(np.sin(2 * x) ** 2)
-
-
-def default_plus_attempts(x):
-    return int(np.ceil(np.log(1 / PLUS_FAILURE_EPS) / plus_gadget_success_probability(x)))
 
 
 def plus_state_gadget(x, a1, a2, ids: IdGen):

@@ -16,8 +16,7 @@ from .majorana import (
     apply_majorana_sum,
     expectation_pauli,
     majorana_action_table,
-    majorana_pauli,
-    pauli_product,
+    majorana_pair,
     segment_rotation,
     t_from_r,
 )
@@ -61,11 +60,10 @@ def strong_single_line(circuit: Circuit, line: int, outcome: int = 1, *,
 
 def _pair_expectations(spec, n):
     """M[mu, nu] = <psi| c_mu c_nu |psi> for all Majorana index pairs."""
-    strings = [majorana_pauli(mu, n) for mu in range(1, 2 * n + 1)]
     m = np.empty((2 * n, 2 * n), dtype=complex)
-    for i, si in enumerate(strings):
-        for j, sj in enumerate(strings):
-            m[i, j] = expectation_pauli(pauli_product(si, sj), spec)
+    for i in range(2 * n):
+        for j in range(2 * n):
+            m[i, j] = expectation_pauli(majorana_pair(i, j, n), spec)
     return m
 
 
@@ -90,7 +88,7 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
     count = (2 * n) ** len(rows)
     stats.term_count += count
     if n <= GROUPED_N_CAP:
-        value = _eval_grouped(rows, circuit.input, n)
+        value = _eval_grouped(rows, *_dense_input(circuit))
     elif count > DEFAULT_TERM_BUDGET:
         raise BudgetExceeded(count, DEFAULT_TERM_BUDGET)
     elif len(rows):
@@ -100,11 +98,21 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
     return _clamp_probability(value, stats.flags, "heisenberg")
 
 
-def _eval_grouped(rows, spec, n):
+def _dense_input(circuit: Circuit):
+    """The plan's read-only ``dense`` input, built on first use: the 2^n
+    input vector and the Majorana action table."""
+    p = plan(circuit, "heisenberg")
+    if p.dense is None:
+        psi, table = circuit.input.state(), tuple(majorana_action_table(circuit.n))
+        for a in [psi] + [phase for _, phase in table]:
+            a.flags.writeable = False
+        p.dense = (psi, table)
+    return p.dense
+
+
+def _eval_grouped(rows, psi, table):
     """Distribute the summation indices: apply each row's Majorana-sum
     operator in turn to the dense input vector and close with the bra."""
-    psi = spec.state()
-    table = majorana_action_table(n)
     phi = psi
     for v in rows[::-1]:
         phi = apply_majorana_sum(v, table, phi)

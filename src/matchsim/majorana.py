@@ -21,19 +21,6 @@ from .errors import BlockTooLarge, NonRealResidual
 
 REAL_TOL = 1e-10
 
-# Single-letter Pauli products P[a] P[b] = i^PHASE[a,b] * P[LETTER[a,b]],
-# letters coded I=0, X=1, Y=2, Z=3.
-LETTER = np.array(
-    [[0, 1, 2, 3],
-     [1, 0, 3, 2],
-     [2, 3, 0, 1],
-     [3, 2, 1, 0]], dtype=np.uint8)
-PHASE = np.array(
-    [[0, 0, 0, 0],
-     [0, 0, 1, 3],
-     [0, 3, 0, 1],
-     [0, 1, 3, 0]], dtype=np.uint8)
-
 PAULI_MATS = (
     np.eye(2, dtype=complex),
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -63,35 +50,32 @@ class PauliString:
         return len(self.letters)
 
 
-def identity_string(n: int) -> PauliString:
-    return PauliString(0, np.zeros(n, dtype=np.uint8))
+def majorana_pair(mu: int, nu: int, n: int) -> PauliString:
+    """c_mu c_nu in closed form, mu and nu 0-based in 0..2n-1.
 
-
-def majorana_pauli(mu: int, n: int) -> PauliString:
-    """Jordan-Wigner form of the mu-th Majorana operator, mu 1-based 1..2n.
-
-    Odd mu gives Z...Z X 1...1, even mu the same with Y, the X/Y sitting on
-    line (mu+1)//2 (1-based).
+    c_mu is Z on the lines below line mu // 2, X (even mu) or Y (odd mu) on
+    it, and I above.  In the product the Z strings cancel below the lower of
+    the two lines; the lower line carries its letter times Z (XZ = -iY,
+    YZ = iX, ZX = iY, ZY = -iX), the lines strictly between carry Z, and the
+    upper line carries its own letter.  On one line XX = YY = I, XY = iZ and
+    YX = -iZ.
     """
-    if not 1 <= mu <= 2 * n:
-        raise ValueError(f"majorana index {mu} outside 1..{2 * n}")
-    k = (mu + 1) // 2  # 1-based line
+    if not (0 <= mu < 2 * n and 0 <= nu < 2 * n):
+        raise ValueError(f"majorana indices ({mu}, {nu}) outside 0..{2 * n - 1}")
+    a, b = mu // 2, nu // 2
+    pa, pb = 1 + mu % 2, 1 + nu % 2  # letter codes: X = 1, Y = 2
     letters = np.zeros(n, dtype=np.uint8)
-    letters[: k - 1] = 3
-    letters[k - 1] = 1 if mu % 2 == 1 else 2
-    return PauliString(0, letters)
-
-
-def pauli_product(*strings: PauliString) -> PauliString:
-    """Product of Pauli strings, phases accumulated exactly."""
-    if not strings:
-        raise ValueError("empty product")
-    letters = strings[0].letters.copy()
-    code = strings[0].phase_code
-    for ps in strings[1:]:
-        code = (code + ps.phase_code + int(PHASE[letters, ps.letters].sum())) % 4
-        letters = LETTER[letters, ps.letters]
-    return PauliString(code, letters)
+    if a == b:
+        if pa == pb:
+            return PauliString(0, letters)
+        letters[a] = 3
+        return PauliString(1 if pa == 1 else 3, letters)
+    lo, hi, low, high = (a, b, pa, pb) if a < b else (b, a, pb, pa)
+    letters[lo] = 3 - low  # X times Z is Y up to phase, Y times Z is X
+    letters[lo + 1: hi] = 3
+    letters[hi] = high
+    # XZ and ZY carry -i, YZ and ZX carry i
+    return PauliString(3 if (a < b) == (low == 1) else 1, letters)
 
 
 def _bits_factor(letters, bits) -> complex:

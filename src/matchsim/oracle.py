@@ -2,7 +2,7 @@
 
 Ground truth for every other module: exact gate application, measurements in
 arbitrary single-qubit bases, exhaustive branch enumeration of adaptive
-circuits, post-selection, and fidelity utilities.  Exponential in n, capped.
+circuits and post-selection.  Exponential in n, capped.
 """
 
 from __future__ import annotations
@@ -95,18 +95,6 @@ class StateVector:
         if p > 0:
             self.amps /= np.sqrt(p)
         return p
-
-    def fidelity_on_lines(self, lines, target: np.ndarray) -> float:
-        """<target| rho_lines |target> for the reduced state on ``lines``.
-
-        Equals |<target x anything | psi>|^2 summed over the complement, so it
-        is insensitive to global phase and to junk on the other lines.
-        """
-        k = len(lines)
-        t = np.asarray(target, dtype=complex).reshape([2] * k)
-        psi = self.amps.reshape([2] * self.n)
-        overlap = np.tensordot(t.conj(), psi, axes=(list(range(k)), list(lines)))
-        return float(np.sum(np.abs(overlap) ** 2))
 
 
 @dataclass

@@ -162,13 +162,16 @@ class Plan:
     outcomes y_<s of the intermediates before segment s to the read-only
     cumulative rotation through it, which depends on nothing else, since
     guards read only earlier records.  ``zone`` is the Pfaffian input, built
-    by the first Pfaffian joint (``_pfaffian_input``)."""
+    by the first Pfaffian joint (``_pfaffian_input``), and ``dense`` the
+    Heisenberg one, built by the first dense Heisenberg joint
+    (``heisenberg._dense_input``)."""
 
     intermediates: list
     finals: list
     position: dict
     prefix_r: dict = field(default_factory=dict)
     zone: tuple | None = None
+    dense: tuple | None = None
 
 
 _PLANS = weakref.WeakKeyDictionary()

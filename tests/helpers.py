@@ -4,14 +4,8 @@ counterparts of the package's fast paths, and fixtures of the gadget tests."""
 import numpy as np
 
 from matchsim.circuit import NORM_TOL, BitsBlock, InputSpec, Measure, ProductBlock
-from matchsim.errors import MaxAttemptsExceeded
-from matchsim.gadgets import (
-    PLUS,
-    IdGen,
-    default_plus_attempts,
-    plus_gadget_success_probability,
-    plus_state_gadget,
-)
+from matchsim.errors import MatchsimError
+from matchsim.gadgets import PLUS, IdGen, plus_gadget_success_probability, plus_state_gadget
 from matchsim.majorana import PAULI_MATS
 from matchsim.oracle import StateVector
 
@@ -46,6 +40,19 @@ def pauli_matrix(ps) -> np.ndarray:
     return ps.phase * m
 
 
+def fidelity_on_lines(state: StateVector, lines, target: np.ndarray) -> float:
+    """<target| rho_lines |target> for the reduced state on ``lines``.
+
+    Equals |<target x anything | psi>|^2 summed over the complement, so it
+    is insensitive to global phase and to junk on the other lines.
+    """
+    k = len(lines)
+    t = np.asarray(target, dtype=complex).reshape([2] * k)
+    psi = state.amps.reshape([2] * state.n)
+    overlap = np.tensordot(t.conj(), psi, axes=(list(range(k)), list(lines)))
+    return float(np.sum(np.abs(overlap) ** 2))
+
+
 def block_is_fermionic(block) -> bool:
     """True iff all nonzero amplitudes share one Hamming-weight parity."""
     amps = block.state()
@@ -54,6 +61,25 @@ def block_is_fermionic(block) -> bool:
     nz = np.abs(amps) > NORM_TOL
     parities = set(par[nz].tolist())
     return len(parities) <= 1
+
+
+PLUS_FAILURE_EPS = 1e-6  # failure probability of the default |+> attempt budget
+
+
+class MaxAttemptsExceeded(MatchsimError):
+    """Repeat-until-success budget exhausted."""
+
+    def __init__(self, attempts, success_bound):
+        self.attempts = attempts
+        self.success_bound = success_bound
+        super().__init__(
+            f"no success within {attempts} attempts "
+            f"(cumulative success probability bound {success_bound:.6g})"
+        )
+
+
+def default_plus_attempts(x):
+    return int(np.ceil(np.log(1 / PLUS_FAILURE_EPS) / plus_gadget_success_probability(x)))
 
 
 def run_plus_state_gadget(x, seed, max_attempts=None):

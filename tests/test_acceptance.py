@@ -40,7 +40,7 @@ from matchsim.pfaffian import (
     pfaffian,
     sample_many,
 )
-from helpers import pfaffian_brute, prepare_layout_input
+from helpers import fidelity_on_lines, pfaffian_brute, prepare_layout_input
 
 RNG = np.random.default_rng(20260810)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -222,7 +222,7 @@ def test_acceptance_5_swap_gadget():
         want = SWAP @ alpha
         branches = 0
         for records, prob, state in branch_states(gad):
-            worst = min(worst, state.fidelity_on_lines((0, 1), want))
+            worst = min(worst, fidelity_on_lines(state, (0, 1), want))
             branches += 1
         assert branches == 16
     assert worst >= 1 - 1e-9
@@ -253,7 +253,7 @@ def test_acceptance_6_plus_state_gadget():
         for records, prob, state in branch_states(circ):
             d = dict(records)
             if d[t1] == d[t2] and d[m] == 0 and prob > 1e-12:
-                worst_f = min(worst_f, state.fidelity_on_lines((1,), PLUS))
+                worst_f = min(worst_f, fidelity_on_lines(state, (1,), PLUS))
     assert worst_p < 1e-9
     assert worst_f >= 1 - 1e-9
     print(f"\nPASS criterion 6: success-probability dev {worst_p:.2e}, "
@@ -278,7 +278,7 @@ def test_acceptance_7_two_qubit_input_preparation():
         circ.validate()
         target = np.kron(np.kron(patterns[0], patterns[1]), patterns[2])
         for records, prob, state in branch_states(circ):
-            worst_f = min(worst_f, state.fidelity_on_lines(tuple(range(6)), target))
+            worst_f = min(worst_f, fidelity_on_lines(state, tuple(range(6)), target))
         if trial % 4 == 0:
             compiled, _ = compile_circuit(circ)
             dist = run_exact(compiled)

@@ -497,11 +497,12 @@ def test_nan_heisenberg_probability_exits_inapplicable(capsys, fswap_file, adapt
     for backend in ("auto", "heisenberg"):
         code, out = run_cli(capsys, "prob", fswap_file, "-p", "1*", "--backend", backend)
         assert (code, out) == (3, "")
-    # joint_prob_few_adaptive, under prob and sample
+    # joint_prob_few_adaptive, under prob, sample and xcheck
     monkeypatch.setattr(matchsim.heisenberg, "apply_majorana_sum",
                         lambda weights, table, psi: np.full_like(psi, np.nan))
     for argv in (["prob", "F", "-p", "0**1", "--backend", "heisenberg"],
-                 ["sample", "F", "--shots", "3", "--backend", "heisenberg"]):
+                 ["sample", "F", "--shots", "3", "--backend", "heisenberg"],
+                 ["xcheck", "F"]):
         code, out = run_argv(capsys, argv, adaptive_file)
         assert (code, out) == (3, "")
 
@@ -521,7 +522,7 @@ def test_heisenberg_residuals_are_flagged(capsys, fswap_file, adaptive_file, mon
         assert code == 0 and doc["probabilities"] == {pattern: p}
         assert set(doc["flags"]) == {"imaginary residual 1.00e-06", flag}
     monkeypatch.setattr(matchsim.heisenberg, "_eval_grouped",
-                        lambda rows, spec, n: eval_grouped(rows, spec, n) + 1e-6j)
+                        lambda rows, psi, table: eval_grouped(rows, psi, table) + 1e-6j)
     for argv in (["prob", "F", "-p", "0**1", "--backend", "heisenberg"], ["xcheck", "F"]):
         code, out = run_argv(capsys, argv, adaptive_file)
         assert code == 0

@@ -19,7 +19,7 @@ from matchsim.circuit import (
     bits_input,
     matchgate_from_components,
 )
-from matchsim.errors import MaxAttemptsExceeded, NoMagicAvailable, UnsupportedLayout
+from matchsim.errors import NoMagicAvailable, UnsupportedLayout
 from matchsim.gadgets import (
     H2,
     GadgetCost,
@@ -31,7 +31,6 @@ from matchsim.gadgets import (
     Z_UPPER,
     compile_circuit,
     compile_input,
-    default_plus_attempts,
     expand_macros,
     fswap_ladder,
     gadgetize_swaps,
@@ -45,7 +44,13 @@ from matchsim.gadgets import (
     two_qubit_unitary,
 )
 from matchsim.oracle import StateVector, branch_states, post_select, run_exact
-from helpers import prepare_layout_input, run_plus_state_gadget
+from helpers import (
+    MaxAttemptsExceeded,
+    default_plus_attempts,
+    fidelity_on_lines,
+    prepare_layout_input,
+    run_plus_state_gadget,
+)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 RNG = np.random.default_rng(77)
@@ -74,7 +79,7 @@ def apply_expansion(exp, spec):
 
 def branch_fidelities(circuit, lines, target):
     for records, prob, state in branch_states(circuit):
-        yield records, prob, state.fidelity_on_lines(lines, target)
+        yield records, prob, fidelity_on_lines(state, lines, target)
 
 
 def expansion_circuit(exp, spec, n=None):
@@ -92,7 +97,7 @@ def test_fswap_ladder_trivial():
 def test_fswap_ladder_moves_a_one_across_zeros():
     exp = fswap_ladder(0, 2)
     st = apply_expansion(exp, InputSpec((BitsBlock("100"),)))
-    assert st.fidelity_on_lines((0, 1, 2), np.eye(8)[0b001]) == pytest.approx(1.0)
+    assert fidelity_on_lines(st, (0, 1, 2), np.eye(8)[0b001]) == pytest.approx(1.0)
 
 
 def test_fswap_ladder_bell_half_roundtrip():
@@ -108,7 +113,7 @@ def test_fswap_ladder_bell_half_roundtrip():
     exp_all = fswap_ladder(1, 4)
     exp_all.extend(back)
     st2 = apply_expansion(exp_all, spec)
-    assert st2.fidelity_on_lines(tuple(range(5)), target) == pytest.approx(1.0)
+    assert fidelity_on_lines(st2, tuple(range(5)), target) == pytest.approx(1.0)
     # forward alone relocates the half (up to fermionic signs): check norm
     assert abs(st.norm() - 1) < 1e-12
 
@@ -120,8 +125,8 @@ def test_hadamard_gadget_on_basis_targets():
     for start, want in (("0", PLUS), ("1", np.array([1, -1]) / np.sqrt(2))):
         spec = InputSpec((BitsBlock(start), ProductBlock((PLUS,))))
         st = apply_expansion(hadamard_gadget(0, 1), spec)
-        assert st.fidelity_on_lines((0,), want) > 1 - 1e-12
-        assert st.fidelity_on_lines((1,), PLUS) > 1 - 1e-12
+        assert fidelity_on_lines(st, (0,), want) > 1 - 1e-12
+        assert fidelity_on_lines(st, (1,), PLUS) > 1 - 1e-12
 
 
 def test_hadamard_gadget_involution_and_random():
@@ -129,12 +134,12 @@ def test_hadamard_gadget_involution_and_random():
     exp = hadamard_gadget(0, 1)
     exp.extend(hadamard_gadget(0, 1))
     st = apply_expansion(exp, spec)
-    assert st.fidelity_on_lines((0,), PLUS) > 1 - 1e-12
+    assert fidelity_on_lines(st, (0,), PLUS) > 1 - 1e-12
     for _ in range(5):
         v = random_state(2)
         spec = InputSpec((ProductBlock((v,)), ProductBlock((PLUS,))))
         st = apply_expansion(hadamard_gadget(0, 1), spec)
-        assert st.fidelity_on_lines((0,), H2 @ v) > 1 - 1e-10
+        assert fidelity_on_lines(st, (0,), H2 @ v) > 1 - 1e-10
 
 
 def test_single_qubit_unitary_cases():
@@ -147,8 +152,8 @@ def test_single_qubit_unitary_cases():
                   if isinstance(i, Gate) and abs(i.gate.a[0, 1]) > 0.5)
         assert n_h <= max_h
         st = apply_expansion(exp, spec)
-        assert st.fidelity_on_lines((0,), u @ v) > 1 - 1e-9
-        assert st.fidelity_on_lines((1,), PLUS) > 1 - 1e-9
+        assert fidelity_on_lines(st, (0,), u @ v) > 1 - 1e-9
+        assert fidelity_on_lines(st, (1,), PLUS) > 1 - 1e-9
 
 
 def test_two_qubit_unitary_cases():
@@ -163,9 +168,9 @@ def test_two_qubit_unitary_cases():
         if expect_gates is not None:
             assert exp.cost.gates == expect_gates
         st = apply_expansion(exp, spec)
-        assert st.fidelity_on_lines((1, 2), u @ v) > 1 - 1e-8
-        assert st.fidelity_on_lines((0,), PLUS) > 1 - 1e-9
-        assert st.fidelity_on_lines((3,), PLUS) > 1 - 1e-9
+        assert fidelity_on_lines(st, (1, 2), u @ v) > 1 - 1e-8
+        assert fidelity_on_lines(st, (0,), PLUS) > 1 - 1e-9
+        assert fidelity_on_lines(st, (3,), PLUS) > 1 - 1e-9
 
 
 def test_cz_truth_table_via_gadgets():
@@ -175,7 +180,7 @@ def test_cz_truth_table_via_gadgets():
         v[b] = 1
         spec = InputSpec((ProductBlock((PLUS,)), EntangledBlock(2, v), ProductBlock((PLUS,))))
         st = apply_expansion(two_qubit_unitary(1, cz, 0, 3), spec)
-        assert st.fidelity_on_lines((1, 2), cz @ v) > 1 - 1e-8
+        assert fidelity_on_lines(st, (1, 2), cz @ v) > 1 - 1e-8
 
 
 # -- pair preparation ------------------------------------------------------------
@@ -307,7 +312,7 @@ def test_swap_correction_table_regression():
     for branch in product((0, 1), repeat=4):
         valid = []
         for corr in product((0, 1), repeat=4):
-            if all(run_branch(a, branch, corr)[1].fidelity_on_lines((2, 3), SWAP @ a) > 1 - 1e-9
+            if all(fidelity_on_lines(run_branch(a, branch, corr)[1], (2, 3), SWAP @ a) > 1 - 1e-9
                    for a in alphas):
                 valid.append(corr)
         assert len(valid) == 1, (branch, valid)
@@ -397,12 +402,12 @@ def test_plus_gadget_conditional_state_is_plus():
         for records, prob, state in branch_states(circ):
             d = dict(records)
             if d[t1] == d[t2] and d[m] == 0 and prob > 1e-12:
-                assert state.fidelity_on_lines((1,), PLUS) > 1 - 1e-9
+                assert fidelity_on_lines(state, (1,), PLUS) > 1 - 1e-9
 
 
 def test_plus_gadget_driver_and_budget():
     attempts, st = run_plus_state_gadget(np.pi / 16, seed=11)
-    assert st.fidelity_on_lines((1,), PLUS) > 1 - 1e-9
+    assert fidelity_on_lines(st, (1,), PLUS) > 1 - 1e-9
     assert attempts <= default_plus_attempts(np.pi / 16)
     with pytest.raises(MaxAttemptsExceeded) as exc:
         run_plus_state_gadget(np.pi / 32, seed=0, max_attempts=0)

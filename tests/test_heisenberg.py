@@ -116,6 +116,28 @@ def test_joint_matches_pfaffian_and_oracle_on_every_record(c):
     assert abs(total - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("n", [5, 17])
+def test_single_line_query_takes_one_expectation_per_pair(n, tmp_path, capsys, monkeypatch):
+    # the benchmark's traced cross-check: expectation_pauli calls = terms = (2n)^2
+    import matchsim.heisenberg
+
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    spec = InputSpec((ProductBlock(tuple(v / np.linalg.norm(v) for v in states)),))
+    c = random_mg_circuit(n, 2 * n, seed=n, input_spec=spec, final_lines=[0, n // 2, n - 1])
+    path = tmp_path / "line.json"
+    path.write_text(serialize_circuit(c))
+    calls = []
+    expectation_pauli = matchsim.heisenberg.expectation_pauli
+    monkeypatch.setattr(matchsim.heisenberg, "expectation_pauli",
+                        lambda ps, spec: calls.append(ps) or expectation_pauli(ps, spec))
+    assert main(["prob", str(path), "-p", "*1*"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# command=prob backend=heisenberg"
+    assert len(calls) == (2 * n) ** 2
+    assert f"# terms={len(calls)}" in lines
+
+
 def test_term_count_formula():
     # (2n)^(4k+2) for one final line
     for n, k in ((3, 0), (4, 1), (5, 2)):

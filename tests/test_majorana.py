@@ -21,13 +21,12 @@ from matchsim.circuit import (
 )
 from matchsim.errors import BlockTooLarge
 from matchsim.majorana import (
+    PauliString,
     apply_majorana_sum,
     expectation_pauli,
     h_matrix,
-    identity_string,
     majorana_action_table,
-    majorana_pauli,
-    pauli_product,
+    majorana_pair,
     segment_rotation,
     t_from_r,
 )
@@ -68,45 +67,16 @@ def embed_gate(u4, line, n):
     return m
 
 
-def test_majorana_pauli_basic_forms():
-    ps = majorana_pauli(1, 3)
-    assert ps.phase == 1
-    assert list(ps.letters) == [1, 0, 0]  # X I I
-    ps = majorana_pauli(4, 3)
-    assert list(ps.letters) == [3, 2, 0]  # Z Y I
-
-
 def test_majorana_matches_dense_construction():
-    n = 3
-    for mu in range(1, 2 * n + 1):
-        assert np.allclose(pauli_matrix(majorana_pauli(mu, n)), dense_majorana(mu, n))
-
-
-def test_pauli_product_phase():
-    # c1 c2 on n=1: X * Y = iZ
-    p = pauli_product(majorana_pauli(1, 1), majorana_pauli(2, 1))
-    assert p.phase == 1j
-    assert list(p.letters) == [3]
-
-
-def test_majorana_squares_to_identity():
-    n = 2
-    for mu in range(1, 5):
-        p = pauli_product(majorana_pauli(mu, n), majorana_pauli(mu, n))
-        assert p.phase == 1
-        assert not p.letters.any()
-
-
-def test_anticommutation():
-    n = 3
-    for mu in range(1, 7):
-        for nu in range(1, 7):
-            if mu == nu:
-                continue
-            p1 = pauli_product(majorana_pauli(mu, n), majorana_pauli(nu, n))
-            p2 = pauli_product(majorana_pauli(nu, n), majorana_pauli(mu, n))
-            assert np.array_equal(p1.letters, p2.letters)
-            assert p1.phase == -p2.phase
+    # c_mu c_nu in closed form against the product of independent dense
+    # matrices: single-line forms, squares, anticommutation and phases
+    for n in range(1, 5):
+        for mu in range(2 * n):
+            for nu in range(2 * n):
+                want = dense_majorana(mu + 1, n) @ dense_majorana(nu + 1, n)
+                assert np.array_equal(pauli_matrix(majorana_pair(mu, nu, n)), want), (n, mu, nu)
+        with pytest.raises(ValueError):
+            majorana_pair(0, 2 * n, n)
 
 
 # -- expectation values --------------------------------------------------------
@@ -114,11 +84,11 @@ def test_anticommutation():
 
 def test_expectation_identity_is_one():
     spec = InputSpec((BitsBlock("01"), ProductBlock((np.array([0.6, 0.8j]),))))
-    assert expectation_pauli(identity_string(3), spec) == 1.0
+    assert expectation_pauli(majorana_pair(2, 2, 3), spec) == 1.0
 
 
 def test_expectation_z_on_bits():
-    z1 = pauli_product(majorana_pauli(1, 2), majorana_pauli(2, 2))  # i Z_1
+    z1 = majorana_pair(0, 1, 2)  # i Z_1
     assert np.isclose(expectation_pauli(z1, bits_input("00")), 1j)
     assert np.isclose(expectation_pauli(z1, bits_input("10")), -1j)
 
@@ -126,8 +96,6 @@ def test_expectation_z_on_bits():
 def test_expectation_xx_on_bell_block():
     bell = EntangledBlock(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
     spec = InputSpec((bell,))
-    from matchsim.majorana import PauliString
-
     xx = PauliString(0, np.array([1, 1], dtype=np.uint8))
     assert np.isclose(expectation_pauli(xx, spec), 1.0)
 
@@ -139,8 +107,6 @@ def test_expectation_matches_dense_on_random_strings():
     state = np.array([1, 0], dtype=complex)
     spec = InputSpec((BitsBlock("1"), EntangledBlock(2, amps), ProductBlock((state,))))
     dense = np.kron(np.array([0, 1], dtype=complex), np.kron(amps, state))
-    from matchsim.majorana import PauliString
-
     for _ in range(30):
         letters = rng.integers(0, 4, size=4).astype(np.uint8)
         code = int(rng.integers(0, 4))
@@ -154,20 +120,17 @@ def test_block_cap_enforced():
     amps = np.zeros(2 ** 13)
     amps[0] = 1.0
     spec = InputSpec((EntangledBlock(13, amps),))
-    ps = majorana_pauli(1, 13)
     with pytest.raises(BlockTooLarge):
-        expectation_pauli(ps, spec)
+        expectation_pauli(majorana_pair(0, 1, 13), spec)
 
 
 def test_vacuum_two_point_function_equals_h():
     n = 4
     vac = bits_input("0" * n)
     h = h_matrix(n)
-    for mu in range(1, 2 * n + 1):
-        for nu in range(1, 2 * n + 1):
-            prod = pauli_product(majorana_pauli(mu, n), majorana_pauli(nu, n))
-            val = expectation_pauli(prod, vac)
-            assert abs(val - h[mu - 1, nu - 1]) < 1e-12
+    for mu in range(2 * n):
+        for nu in range(2 * n):
+            assert abs(expectation_pauli(majorana_pair(mu, nu, n), vac) - h[mu, nu]) < 1e-12
 
 
 # -- rotation matrices ---------------------------------------------------------
