@@ -67,6 +67,46 @@ def embed_gate(u4, line, n):
     return m
 
 
+def test_majorana_pauli_basic_forms():
+    # c_1 = X I I and c_4 = Z Y I on n = 3, read through their products
+    ps = majorana_pair(0, 3, 3)  # XZ (x) Y (x) I = -i Y Y I
+    assert ps.phase == -1j
+    assert list(ps.letters) == [2, 2, 0]
+    ps = majorana_pair(3, 0, 3)  # ZX (x) Y (x) I = i Y Y I
+    assert ps.phase == 1j
+    assert list(ps.letters) == [2, 2, 0]
+    ps = majorana_pair(0, 5, 3)  # c_1 c_6 = XZ (x) Z (x) Y = -i Y Z Y
+    assert ps.phase == -1j
+    assert list(ps.letters) == [2, 3, 2]
+
+
+def test_pauli_product_phase():
+    # c1 c2 on n=1: X * Y = iZ
+    p = majorana_pair(0, 1, 1)
+    assert p.phase == 1j
+    assert list(p.letters) == [3]
+
+
+def test_majorana_squares_to_identity():
+    n = 2
+    for mu in range(4):
+        p = majorana_pair(mu, mu, n)
+        assert p.phase == 1
+        assert not p.letters.any()
+
+
+def test_anticommutation():
+    n = 3
+    for mu in range(6):
+        for nu in range(6):
+            if mu == nu:
+                continue
+            p1 = majorana_pair(mu, nu, n)
+            p2 = majorana_pair(nu, mu, n)
+            assert np.array_equal(p1.letters, p2.letters)
+            assert p1.phase == -p2.phase
+
+
 def test_majorana_matches_dense_construction():
     # c_mu c_nu in closed form against the product of independent dense
     # matrices: single-line forms, squares, anticommutation and phases
