@@ -302,14 +302,6 @@ class MagicBlock:
     def n(self):
         return 4
 
-    @property
-    def k(self):
-        return 4
-
-    @property
-    def amps(self):
-        return MAGIC_AMPS.copy()
-
     def state(self):
         return MAGIC_AMPS.copy()
 
@@ -453,41 +445,31 @@ class Circuit:
     def has_macros(self):
         return any(isinstance(i, Macro) for i in self.program)
 
-    def split_segments(self):
-        """Split the program at intermediate measurements: ``segments[t]`` is
-        the list of (possibly guarded) Gate instructions between intermediate
-        measurement t-1 and t, and ``segments[-1]`` holds the gates after the
-        last one.  Gates after a final measurement are rejected when a
-        backend builds its plan (``pfaffian.plan``), not here.
-        """
-        if self.has_macros():
-            raise ValidationError("macro", "circuit contains unexpanded macros")
-        segments = [[]]
-        for ins in self.program:
-            if isinstance(ins, Gate):
-                segments[-1].append(ins)
-            elif ins.role == "intermediate":
-                segments.append([])
-        return segments
-
 
 def instantiate_segments(circuit: Circuit, outcomes, upto=None) -> list:
-    """Resolve guards against ``outcomes`` and return the concrete gate runs.
+    """Split the program at its intermediate measurements and resolve the
+    guards against ``outcomes``, in one walk: segment t holds the gates that
+    fire between intermediate measurement t-1 and t, and the last segment
+    those after the last one.  Segments 0..t concatenated are the gate
+    sequence applied up to the t-th intermediate measurement.
 
-    ``outcomes`` maps record ids to bits; it must cover every intermediate
-    measurement that precedes a guard needing it, else UnresolvedGuard.
-    Segment t concatenated with segments 0..t-1 is the gate sequence applied
-    up to the t-th intermediate measurement.  ``upto`` limits resolution to
-    the first ``upto`` segments (all, if None).
+    ``upto`` stops the walk after the first ``upto`` segments (all, if None),
+    so only their guards need ``outcomes``: a guard it meets on an
+    unassigned record raises UnresolvedGuard.  Gates after a final
+    measurement are rejected when a backend builds its plan
+    (``pfaffian.plan``), not here.
     """
-    segments = circuit.split_segments()
-    if upto is not None:
-        segments = segments[:upto]
-    resolved = []
-    for seg in segments:
-        run = []
-        for g in seg:
-            if g.guard is None or g.guard.fires(outcomes):
-                run.append(g)
-        resolved.append(run)
+    if upto == 0:
+        return []
+    resolved = [[]]
+    for ins in circuit.program:
+        if isinstance(ins, Macro):
+            raise ValidationError("macro", "circuit contains unexpanded macros")
+        if isinstance(ins, Gate):
+            if ins.guard is None or ins.guard.fires(outcomes):
+                resolved[-1].append(ins)
+        elif ins.role == "intermediate":
+            if len(resolved) == upto:
+                break
+            resolved.append([])
     return resolved

@@ -58,12 +58,12 @@ class BlockTooLarge(Inapplicable):
 
 
 class BudgetExceeded(Inapplicable):
-    """The estimated summand count exceeds the evaluation budget."""
+    """A joint needs more projector rows than its evaluation admits."""
 
-    def __init__(self, count, budget):
-        self.count = count
-        self.budget = budget
-        super().__init__(f"estimated term count {count} exceeds budget {budget}")
+    def __init__(self, rows, cap):
+        self.rows = rows
+        self.cap = cap
+        super().__init__(f"{rows} projector rows exceed the cap of {cap}")
 
 
 class ZeroProbabilityPrefix(MatchsimError):

@@ -583,10 +583,6 @@ def plus_gadget_y(x):
     return np.arctan(t * (np.sqrt(2) + t) / (1 + np.sqrt(2) * t))
 
 
-def plus_gadget_success_probability(x):
-    return float(np.sin(2 * x) ** 2)
-
-
 def plus_state_gadget(x, a1, a2, ids: IdGen):
     """One repeat-until-success attempt at preparing |+> on line a2 from two
     computational-basis ancilla lines (a1, a2 = a1+1).

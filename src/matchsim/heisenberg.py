@@ -30,8 +30,8 @@ from .pfaffian import (
     plan,
 )
 
-DEFAULT_TERM_BUDGET = 400_000  # summand cap above GROUPED_N_CAP lines
 GROUPED_N_CAP = 16  # dense evaluation holds 2^n amplitudes
+ROW_CAP = 2  # projector rows above GROUPED_N_CAP lines: one projector
 
 
 def strong_single_line(circuit: Circuit, line: int, outcome: int = 1, *,
@@ -79,8 +79,8 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
 
     The displayed sum has (2n)^(4k + 2|x|) summands, and its nominal count is
     reported in ``stats.term_count``.  Up to ``GROUPED_N_CAP`` lines it is
-    evaluated densely (``_eval_grouped``).  Above that, ``DEFAULT_TERM_BUDGET``
-    admits at most one projector, evaluated by the single-line pair formula.
+    evaluated densely (``_eval_grouped``).  Above that, ``ROW_CAP`` admits at
+    most one projector, evaluated by the single-line pair formula.
     """
     stats = stats if stats is not None else EvalStats()
     rows = measurement_rows(circuit, outcomes, backend="heisenberg")
@@ -89,8 +89,8 @@ def joint_prob_few_adaptive(circuit: Circuit, outcomes: dict, *,
     stats.term_count += count
     if n <= GROUPED_N_CAP:
         value = _eval_grouped(rows, *_dense_input(circuit))
-    elif count > DEFAULT_TERM_BUDGET:
-        raise BudgetExceeded(count, DEFAULT_TERM_BUDGET)
+    elif len(rows) > ROW_CAP:
+        raise BudgetExceeded(len(rows), ROW_CAP)
     elif len(rows):
         value = _eval_pair(rows, circuit.input, n)
     else:

@@ -45,10 +45,6 @@ class PauliString:
     def phase(self) -> complex:
         return _I_POWERS[self.phase_code % 4]
 
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
 
 def majorana_pair(mu: int, nu: int, n: int) -> PauliString:
     """c_mu c_nu in closed form, mu and nu 0-based in 0..2n-1.

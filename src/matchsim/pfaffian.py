@@ -10,9 +10,10 @@ per cross term.  A singular or near-singular F falls back to one full
 Pfaffian per cross term, 2^{2k} poly(n).
 
 What depends only on the circuit (the admissibility check, the measurements,
-the prefix rotations, the input rows and h) is built once per circuit
-object, in its ``Plan``; a joint stacks its measurement rows between the
-input rows and takes one contraction matrix and its Pfaffians.
+the prefix rotations, the zone's components, the input rows and h) is built
+once per circuit object, in its ``Plan``; a joint stacks its measurement
+rows between the input rows and takes one contraction matrix and its
+Pfaffians.
 """
 
 from __future__ import annotations
@@ -295,19 +296,30 @@ def _input_rows(lines, n):
 
 
 def _pfaffian_input(circuit: Circuit):
-    """The plan's read-only ``zone``, built on first use: (zone amplitudes,
-    zone width k, h, bra rows, ket rows).  The ket rows are the input
-    1-positions and then the zone lines, ascending; the bra rows descend."""
+    """The plan's read-only ``zone``, built on first use: (components, zone
+    width k, h, bra rows, ket rows).  The ket rows are the input 1-positions
+    and then the zone lines, ascending; the bra rows descend.
+
+    One component per nonzero zone amplitude lam_w, w ascending: (lam_w,
+    parity of w, bra, ket).  ``bra`` indexes the bra zone rows of the zone
+    lines set in w, descending (row k-1-i for zone line i), ``ket`` the ket
+    zone rows, ascending, counted from the end (row i-k), so one index list
+    serves the contraction matrix and its Schur complement alike."""
     p = plan(circuit, "pfaffian")
     if p.zone is None:
         canon = split_canonical_input(circuit)
         n, k = circuit.n, circuit.n - len(canon.bits)
         ket = _input_rows([i for i, b in enumerate(canon.bits) if b == "1"]
                           + list(range(n - k, n)), n)
-        amps, h, bra = canon.zone_amps, h_matrix(n), ket[::-1]
-        for a in (amps, h, bra, ket):
+        comps = []
+        for w in np.flatnonzero(canon.zone_amps):
+            lines = [i for i in range(k) if (w >> (k - 1 - i)) & 1]
+            comps.append((canon.zone_amps[w], len(lines) & 1,
+                          [k - 1 - i for i in reversed(lines)], [i - k for i in lines]))
+        h, bra = h_matrix(n), ket[::-1]
+        for a in (h, bra, ket):
             a.flags.writeable = False
-        p.zone = (amps, k, h, bra, ket)
+        p.zone = (tuple(comps), k, h, bra, ket)
     return p.zone
 
 
@@ -328,27 +340,6 @@ def _clamp_probability(value, flags, backend) -> float:
     if p < -NEG_CLAMP:
         flags.append(f"negative probability {p:.2e}")
     return max(p, 0.0)
-
-
-def _pair_sum(amps, pf_of):
-    """Sum over parity-matched zone components (w, w') of
-    lam_w lam_{w'}^* pf_of(bra, ket).
-
-    ``bra`` indexes the zone lines set in w' in descending order (candidate
-    row k-1-i for zone line i), ``ket`` those set in w in ascending order
-    (row k+i), among the 2k candidate zone rows."""
-    width = int(np.log2(len(amps)))
-    comps = []
-    for w in np.flatnonzero(amps):
-        lines = [i for i in range(width) if (w >> (width - 1 - i)) & 1]
-        comps.append((amps[w], len(lines) & 1,
-                      [width - 1 - i for i in reversed(lines)], [width + i for i in lines]))
-    value = 0.0 + 0.0j
-    for amp, parity, _, ket in comps:
-        for amp_p, parity_p, bra, _ in comps:
-            if parity == parity_p:
-                value += amp * np.conj(amp_p) * pf_of(bra, ket)
-    return value
 
 
 def _schur_complement(o, k, f):
@@ -388,10 +379,11 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
     A bit-string input is the width-0 zone: Pf(F) alone.  When F is
     singular or close to it (|Pf(F)| <= ``PF_FLOOR``, as when a zone line
     that no gate touches is measured 1, or an entry of S beyond
-    ``SCHUR_CAP``), each pair's full Pfaffian is taken instead, and
+    ``SCHUR_CAP``), the same loop over the zone's components takes each
+    pair's full Pfaffian instead (Pf(F) itself for the pair (0, 0)), and
     ``stats.schur_fallbacks`` counts the joint.
     """
-    amps, k, h, bra_rows, ket_rows = _pfaffian_input(circuit)
+    comps, k, h, bra_rows, ket_rows = _pfaffian_input(circuit)
     stats = stats if stats is not None else EvalStats()
     rows = np.vstack([bra_rows, measurement_rows(circuit, outcomes), ket_rows])
     f = len(rows) - 2 * k
@@ -402,23 +394,22 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
     if not k:
         return _clamp_probability(pf_f, stats.flags, "pfaffian")
     s = _schur_complement(o, k, f) if abs(pf_f) > PF_FLOOR else None
-    if s is not None:
-        def schur(bra, ket):
-            stats.evaluated_pairs += 1
-            return pfaffian(s[np.ix_(bra + ket, bra + ket)], check=False)
-
-        return _clamp_probability(pf_f * _pair_sum(amps, schur), stats.flags, "pfaffian")
-    stats.schur_fallbacks += 1
-    middle = list(range(k, k + f))
-
-    def full(bra, ket):
-        if not bra and not ket:
-            return pf_f  # the pair (0, 0) is F itself
-        stats.evaluated_pairs += 1
-        idx = bra + middle + [f + j for j in ket]
-        return pfaffian(o[np.ix_(idx, idx)], check=False)
-
-    return _clamp_probability(_pair_sum(amps, full), stats.flags, "pfaffian")
+    if s is None:
+        stats.schur_fallbacks += 1
+    m, middle = (o, list(range(k, k + f))) if s is None else (s, [])
+    value = 0.0 + 0.0j
+    for amp, parity, _, ket in comps:
+        for amp_p, parity_p, bra, _ in comps:
+            if parity != parity_p:
+                continue
+            if s is None and not bra and not ket:
+                pf = pf_f  # the pair (0, 0) is F itself
+            else:
+                idx = bra + middle + ket
+                pf = pfaffian(m[np.ix_(idx, idx)], check=False)
+                stats.evaluated_pairs += 1
+            value += amp * np.conj(amp_p) * pf
+    return _clamp_probability(value if s is None else pf_f * value, stats.flags, "pfaffian")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 
 from matchsim.circuit import NORM_TOL, BitsBlock, InputSpec, Measure, ProductBlock
 from matchsim.errors import MatchsimError
-from matchsim.gadgets import PLUS, IdGen, plus_gadget_success_probability, plus_state_gadget
+from matchsim.gadgets import PLUS, IdGen, plus_state_gadget
 from matchsim.majorana import PAULI_MATS
 from matchsim.oracle import StateVector
 
@@ -61,6 +61,11 @@ def block_is_fermionic(block) -> bool:
     nz = np.abs(amps) > NORM_TOL
     parities = set(par[nz].tolist())
     return len(parities) <= 1
+
+
+def plus_gadget_success_probability(x):
+    """Success probability sin^2(2x) of one |+> gadget attempt."""
+    return float(np.sin(2 * x) ** 2)
 
 
 PLUS_FAILURE_EPS = 1e-6  # failure probability of the default |+> attempt budget

@@ -26,7 +26,6 @@ from matchsim.gadgets import (
     PLUS,
     compile_circuit,
     gadgetize_swaps,
-    plus_gadget_success_probability,
     plus_state_gadget,
     prepare_two_qubit_inputs,
     expand_macros,
@@ -40,7 +39,12 @@ from matchsim.pfaffian import (
     pfaffian,
     sample_many,
 )
-from helpers import fidelity_on_lines, pfaffian_brute, prepare_layout_input
+from helpers import (
+    fidelity_on_lines,
+    pfaffian_brute,
+    plus_gadget_success_probability,
+    prepare_layout_input,
+)
 
 RNG = np.random.default_rng(20260810)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)

@@ -218,6 +218,7 @@ def test_unresolved_guard_raises():
         instantiate_segments(c, {})
     # prefix resolution is fine
     assert len(instantiate_segments(c, {}, upto=1)) == 1
+    assert instantiate_segments(c, {}, upto=0) == []
 
 
 def test_input_normalization_enforced():

@@ -35,7 +35,6 @@ from matchsim.gadgets import (
     fswap_ladder,
     gadgetize_swaps,
     hadamard_gadget,
-    plus_gadget_success_probability,
     plus_state_gadget,
     prepare_two_qubit_inputs,
     single_qubit_unitary,
@@ -48,6 +47,7 @@ from helpers import (
     MaxAttemptsExceeded,
     default_plus_attempts,
     fidelity_on_lines,
+    plus_gadget_success_probability,
     prepare_layout_input,
     run_plus_state_gadget,
 )

@@ -150,11 +150,11 @@ def test_term_count_formula():
 
 
 def test_literal_budget_enforced():
-    # 34^6 summands above the dense evaluation's 16 lines
+    # three projectors, 6 rows, above the dense evaluation's 16 lines
     c = random_mg_circuit(17, 10, seed=20, n_intermediate=1, final_lines=[0])
     with pytest.raises(BudgetExceeded) as exc:
         joint_prob_few_adaptive(c, {"m0": 0, "x0": 0})
-    assert exc.value.count == 34 ** 6
+    assert exc.value.rows == 6
 
 
 def test_four_adaptive_joint_matches_pfaffian_and_oracle(tmp_path, capsys):

@@ -31,6 +31,7 @@ from matchsim.pfaffian import (
     ChainRuleSampler,
     EvalStats,
     _input_rows,
+    _pfaffian_input,
     build_o,
     joint_prob_entangled,
     measurement_rows,
@@ -247,11 +248,32 @@ def _full_records(c):
     return [dict(zip(ids, bits)) for bits in itertools.product((0, 1), repeat=len(ids))]
 
 
-def _pair_loop(c, outcomes):
+def _pair_loop(c, outcomes, stats=None):
     """The joint with every pair's full Pfaffian: the Schur route's fallback."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matchsim.pfaffian, "PF_FLOOR", np.inf)
-        return joint_prob_entangled(c, outcomes)
+        return joint_prob_entangled(c, outcomes, stats)
+
+
+def _literal_pair_sum(c, outcomes):
+    """Sum over every (w, w') of lam_w lam_{w'}^* Pf(O_{w,w'}), each O built
+    from its own rows: the bra input lines of w' descending, the measurement
+    rows, the ket input lines of w ascending.  Pairs of unlike parity have
+    an odd number of rows, whose Pfaffian is 0."""
+    canon = split_canonical_input(c)
+    n, k = c.n, c.n - len(canon.bits)
+    ones = [i for i, b in enumerate(canon.bits) if b == "1"]
+    meas, h = measurement_rows(c, outcomes), h_matrix(c.n)
+
+    def lines(w):
+        return ones + [n - k + i for i in range(k) if (w >> (k - 1 - i)) & 1]
+
+    total = 0.0
+    for w, w_p in itertools.product(range(2 ** k), repeat=2):
+        rows = np.vstack([_input_rows(lines(w_p)[::-1], n), meas, _input_rows(lines(w), n)])
+        total += (canon.zone_amps[w] * np.conj(canon.zone_amps[w_p])
+                  * pfaffian(build_o(rows, h)))
+    return total.real
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,6 +283,25 @@ def test_schur_joint_matches_pair_loop_and_oracle(c):
     for oc in _full_records(c):
         q = joint_prob_entangled(c, oc)
         assert abs(q - _pair_loop(c, oc)) < 1e-12
+        assert abs(q - dist.probs.get(tuple(oc.items()), 0.0)) < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=_zone_circuits(max_n=8, max_k=3))
+def test_full_route_matches_literal_pair_sum_and_oracle(c):
+    # with PF_FLOOR at infinity every joint takes the full route, which
+    # otherwise runs only when F is singular
+    dist = run_exact(c)
+    amps = split_canonical_input(c).zone_amps
+    parity = [bin(w).count("1") & 1 for w in np.flatnonzero(amps)]
+    kept = parity.count(0) ** 2 + parity.count(1) ** 2
+    for oc in _full_records(c):
+        stats = EvalStats()
+        q = _pair_loop(c, oc, stats)
+        assert stats.schur_fallbacks == 1
+        # F, then every kept pair but (0, 0), whose matrix is F
+        assert stats.evaluated_pairs == 1 + kept - (amps[0] != 0)
+        assert abs(q - _literal_pair_sum(c, oc)) < 1e-12
         assert abs(q - dist.probs.get(tuple(oc.items()), 0.0)) < 1e-7
 
 
@@ -287,6 +328,17 @@ def test_singular_middle_block_takes_the_pair_loop():
 @given(c=_zone_circuits(max_n=8, max_k=3))
 def test_joints_over_every_full_record_sum_to_one(c):
     assert abs(sum(joint_prob_entangled(c, oc) for oc in _full_records(c)) - 1.0) < 1e-9
+
+
+def test_widest_zone_plan_holds_components_not_pairs():
+    # one component per nonzero amplitude: 2^14 at ZONE_CAP, where the pairs
+    # that parity keeps would number 2^27
+    amps = np.full(2 ** 14, 2.0 ** -7, dtype=complex)
+    c = Circuit(14, InputSpec((EntangledBlock(14, amps),)),
+                (Measure(0, "x", "final"),)).validate()
+    comps, k = _pfaffian_input(c)[:2]
+    assert (k, len(comps)) == (14, 2 ** 14)
+    assert sum(parity for _, parity, _, _ in comps) == 2 ** 13
 
 
 def test_zone_cap():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchsim import majorana, pfaffian
-from matchsim.circuit import BitsBlock, Circuit, EntangledBlock, InputSpec, instantiate_segments
+from matchsim.circuit import BitsBlock, EntangledBlock, InputSpec, instantiate_segments
 from matchsim.heisenberg import joint_prob_few_adaptive
 from matchsim.majorana import gate_rotation_block, t_from_r
 from matchsim.oracle import random_mg_circuit
@@ -112,7 +112,7 @@ def test_warm_joints_redo_no_per_circuit_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("a warm joint redid per-circuit work")
 
-    monkeypatch.setattr(Circuit, "split_segments", refuse)
+    monkeypatch.setattr(pfaffian, "instantiate_segments", refuse)
     monkeypatch.setattr(pfaffian, "split_canonical_input", refuse)
     assert [joint_prob_entangled(circuit, outcomes) for outcomes in records] == cold
     for outcomes in records:
