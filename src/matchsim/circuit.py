@@ -161,7 +161,7 @@ class Guard:
 
 @dataclass(frozen=True)
 class Computational:
-    kind = "computational"
+    """Measurement in the computational basis {|0>, |1>}."""
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,6 @@ class Tilted:
 
     x: float
     phase: float = 0.0
-
-    kind = "tilted"
 
     def vectors(self):
         c, s, ph = np.cos(self.x), np.sin(self.x), np.exp(1j * self.phase)
@@ -197,8 +195,6 @@ class Gate:
     guard: Optional[Guard] = None
     angles: Optional[MatchgateAngles] = None
 
-    op = "gate"
-
 
 @dataclass(frozen=True)
 class Measure:
@@ -206,8 +202,6 @@ class Measure:
     record_id: str
     role: str  # "intermediate" | "final"
     basis: Basis = field(default_factory=Computational)
-
-    op = "measure"
 
 
 @dataclass(frozen=True)
@@ -217,17 +211,12 @@ class Macro:
     name: str
     params: tuple  # sorted (key, value) pairs, hashable
 
-    op = "macro"
-
     @staticmethod
     def make(name, **params):
         return Macro(name, tuple(sorted(params.items())))
 
-    def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+    def param(self, key):
+        return dict(self.params).get(key)
 
     def line(self, key, n, value=None):
         """Parameter ``key`` (or ``value``, an element of it) as a 0-based
@@ -248,8 +237,6 @@ class Macro:
 class BitsBlock:
     bits: str
 
-    kind = "bits"
-
     @property
     def n(self):
         return len(self.bits)
@@ -263,8 +250,6 @@ class BitsBlock:
 @dataclass(frozen=True, eq=False)
 class ProductBlock:
     states: tuple  # of length-2 complex arrays
-
-    kind = "product"
 
     @property
     def n(self):
@@ -282,8 +267,6 @@ class EntangledBlock:
     k: int
     amps: np.ndarray
 
-    kind = "entangled"
-
     @property
     def n(self):
         return self.k
@@ -295,8 +278,6 @@ class EntangledBlock:
 @dataclass(frozen=True)
 class MagicBlock:
     """Sugar for the 4-qubit state |Phi+>_13 |Phi+>_24."""
-
-    kind = "magic"
 
     @property
     def n(self):

@@ -134,10 +134,10 @@ def _marginal_probability(circuit, pattern, backend, stats):
         if not inters and len(assignment) == 1:
             ((rid, bit),) = assignment.items()
             line = next(m.line for m in circuit.measurements("final") if m.record_id == rid)
-            p = heisenberg.strong_single_line(circuit, line, outcome=bit, stats=stats)
-            return p, {"terms": (2 * circuit.n) ** 2}
-        total = _sum_over(inters, assignment, lambda oc: heisenberg.joint_prob_few_adaptive(
-            circuit, oc, stats=stats))
+            total = heisenberg.strong_single_line(circuit, line, outcome=bit, stats=stats)
+        else:
+            total = _sum_over(inters, assignment, lambda oc: heisenberg.joint_prob_few_adaptive(
+                circuit, oc, stats=stats))
         return total, {"terms": stats.term_count}
     # pfaffian, summed over the compiled circuit's added records too
     work, _ = compile_circuit(circuit)
@@ -185,11 +185,9 @@ def cmd_sample(args) -> tuple[int, RunReport]:
         sampler = pfaffian.ChainRuleSampler(work)
         keys, index = pfaffian.sample_many(work, args.shots, args.seed, sampler=sampler)
         report.counters["conditionals_cached"] = len(sampler.cache)
-    elif backend == "heisenberg":
+    else:
         keys, index = pfaffian.sample_many(circuit, args.shots, args.seed,
                                            sampler=heisenberg.heisenberg_sampler(circuit))
-    else:
-        raise BackendInapplicable(backend, "unknown backend")
     order = [m.record_id for m in circuit.measurements()]
     texts = [_format_record(key, order) for key in keys]
     report.samples = [texts[i] for i in index.tolist()]

@@ -70,10 +70,6 @@ class ZeroProbabilityPrefix(MatchsimError):
     """Chain-rule sampling hit a prefix with probability below threshold."""
 
 
-class NotSkew(MatchsimError):
-    """Matrix handed to the Pfaffian is not antisymmetric within tolerance."""
-
-
 class DecompositionFailure(MatchsimError):
     """Euler/canonical decomposition failed (input not unitary or residual too large)."""
 

@@ -119,18 +119,16 @@ class IdGen:
 
 
 def phase_gate_on(exp: GadgetExpansion, line, phi, pair_line):
-    """e^{i phi Z} on ``line`` embedded as a matchgate on the adjacent pair
-    starting at ``pair_line``; phases that reduce to a global sign are
+    """e^{i phi Z} on ``line``, ``pair_line`` or the line after it, embedded
+    as a matchgate on that pair; phases that reduce to a global sign are
     dropped."""
     if abs(np.remainder(phi, np.pi)) < ANGLE_EPS or abs(np.remainder(phi, np.pi) - np.pi) < ANGLE_EPS:
         return
     p = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
     if line == pair_line:
         exp.gate(pair_line, matchgate_from_components(p, p))
-    elif line == pair_line + 1:
-        exp.gate(pair_line, matchgate_from_components(p, p.conj()))
     else:
-        raise ValidationError("macro", "phase line not on the pair")
+        exp.gate(pair_line, matchgate_from_components(p, p.conj()))
 
 
 def xx_yy_gate(a, b) -> Matchgate:
@@ -771,39 +769,33 @@ def compile_circuit(circuit: Circuit):
 def expand_macros(circuit: Circuit, post_selected_swaps=False):
     """Lower every gadget macro to primitive instructions.
 
-    Non-swap macros are expanded iteratively (macros may emit nested
-    macros); SWAP pseudo-gates are gadgetized last since they extend the
-    register.  Returns (circuit, cost report dict).
+    One walk lowers each non-swap macro in place, its lines checked against
+    the register extended so far.  A second lowers the macros the first
+    emitted, against the final line count: only ``prepare_two_qubit_inputs``
+    emits any, ``two_qubit_unitary`` ones, which emit none and add no lines.
+    SWAP pseudo-gates are gadgetized last since they extend the register.
+    Returns (circuit, cost report dict).
     """
-    report = {}
-    for _ in range(10):
-        pending = [m for m in circuit.macros() if m.name != "swap"]
-        if not pending:
-            break
-        circuit = _expand_once(circuit, report)
-    else:
-        raise ValidationError("macro", "macro expansion did not terminate")
+    ids = IdGen({m.record_id for m in circuit.measurements()})
+    report, blocks = {}, list(circuit.input.blocks)
+
+    def lower(program):
+        for ins in program:
+            if not isinstance(ins, Macro) or ins.name == "swap":
+                yield ins
+                continue
+            exp = _expand_macro(ins, sum(b.n for b in blocks), ids)
+            blocks.extend(exp.new_blocks)
+            entry = report.setdefault(ins.name, GadgetCost())
+            entry += exp.cost
+            yield from exp.instructions
+
+    # the first walk ends before the second starts, which sees the final line count
+    program = tuple(lower(list(lower(circuit.program))))
+    circuit = Circuit(sum(b.n for b in blocks), InputSpec(tuple(blocks)), program)
     if circuit.has_macros():
         circuit, _, report["swap"] = gadgetize_swaps(circuit, post_selected_swaps)
     return circuit, report
-
-
-def _expand_once(circuit, report):
-    ids = IdGen({m.record_id for m in circuit.measurements()})
-    program = []
-    blocks = list(circuit.input.blocks)
-    n = circuit.n
-    for ins in circuit.program:
-        if not isinstance(ins, Macro) or ins.name == "swap":
-            program.append(ins)
-            continue
-        exp = _expand_macro(ins, n, ids)
-        blocks.extend(exp.new_blocks)
-        n += sum(b.n for b in exp.new_blocks)
-        program.extend(exp.instructions)
-        entry = report.setdefault(ins.name, GadgetCost())
-        entry += exp.cost
-    return Circuit(n, InputSpec(tuple(blocks)), tuple(program))
 
 
 def _expand_macro(ins: Macro, n, ids) -> GadgetExpansion:

@@ -40,8 +40,9 @@ def strong_single_line(circuit: Circuit, line: int, outcome: int = 1, *,
     ``outcome``, for circuits without intermediate measurements.
 
     Evaluates the projector's row pair against the (2n)^2 input expectation
-    values; each factorizes over the input blocks.  The value is clamped to
-    [0, 1], and ``stats.flags`` notes a residual beyond ``NEG_CLAMP``.
+    values, counted in ``stats.term_count``; each factorizes over the input
+    blocks.  The value is clamped to [0, 1], and ``stats.flags`` notes a
+    residual beyond ``NEG_CLAMP``.
     """
     p = plan(circuit, "heisenberg")
     if p.intermediates:
@@ -50,6 +51,7 @@ def strong_single_line(circuit: Circuit, line: int, outcome: int = 1, *,
         raise BackendInapplicable("heisenberg", f"line {line + 1} is not measured finally")
     stats = stats if stats is not None else EvalStats()
     n = circuit.n
+    stats.term_count += (2 * n) ** 2
     t = t_from_r(segment_rotation(circuit.gates(), n))
     value = _clamp_probability(_eval_pair(_projector_rows(t[line], outcome), circuit.input, n),
                                stats.flags, "heisenberg")

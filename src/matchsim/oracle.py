@@ -52,9 +52,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.amps.copy())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def apply_two_qubit(self, u: np.ndarray, line: int) -> None:
         """Apply a 4x4 unitary to adjacent lines (line, line+1), in place."""
         n = self.n
@@ -104,9 +101,6 @@ class BranchDistribution:
     probs: dict  # tuple of (record_id, bit) -> probability
     record_order: tuple = ()
 
-    def total(self) -> float:
-        return sum(self.probs.values())
-
     def marginal(self, record_ids) -> dict:
         """Marginal over a subset of record ids, keyed by bit tuples."""
         ids = list(record_ids)
@@ -139,22 +133,32 @@ def _macro_unitary(ins: Macro, n):
     raise ValidationError("macro", f"oracle cannot execute macro {ins.name!r}")
 
 
-def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, allow_swap_macros=False):
-    """Depth-first enumeration over intermediate measurement outcomes.
+def _trailing_finals(program) -> int:
+    """Index of the run of final measurements that ends ``program``."""
+    return max((i + 1 for i, ins in enumerate(program)
+                if not (isinstance(ins, Measure) and ins.role == "final")), default=0)
 
-    Yields (records, probability, state) per branch, with ``state`` the
-    normalized state after the whole program excluding final measurements.
+
+def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, allow_swap_macros=False):
+    """Depth-first enumeration over the outcomes of the intermediate
+    measurements and of each final one that a later instruction follows.
+
+    Yields (records, probability, state) per branch: ``records`` lists the
+    intermediates in walk order, then those finals, and ``state`` is the
+    normalized state before the final measurements that end the program.
     Branches of probability at most ``PRUNE_EPS`` are dropped.  With
     ``allow_swap_macros`` the (non-matchgate) SWAP pseudo-gate is applied
     literally; other macros are rejected.
     """
     check_width(circuit.n, n_cap)
-    k = len(circuit.measurements("intermediate"))
+    stop = _trailing_finals(circuit.program)
+    k = sum(isinstance(ins, Measure) for ins in circuit.program[:stop])
     if k > BRANCH_CAP:
-        raise CapExceeded(f"{k} intermediate measurements exceed branch cap {BRANCH_CAP}")
+        raise CapExceeded(f"{k} branching measurements exceed branch cap {BRANCH_CAP}")
+    finals = {m.record_id for m in circuit.measurements("final")}
 
     def walk(pos, state, records, prob):
-        for i in range(pos, len(circuit.program)):
+        for i in range(pos, stop):
             ins = circuit.program[i]
             if isinstance(ins, Gate):
                 if ins.guard is None or ins.guard.fires(dict(records)):
@@ -164,7 +168,7 @@ def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, allow_swap_macros=False
                     raise ValidationError("macro", "circuit contains unexpanded macros")
                 u, line = _macro_unitary(ins, circuit.n)
                 state.apply_two_qubit(u, line)
-            elif ins.role == "intermediate":
+            else:
                 probs = state.measure_probabilities(ins.line, ins.basis)
                 for outcome in (0, 1):
                     p = probs[outcome]
@@ -176,7 +180,7 @@ def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, allow_swap_macros=False
                         i + 1, child, records + ((ins.record_id, outcome),), prob * p
                     )
                 return
-        yield records, prob, state
+        yield tuple(sorted(records, key=lambda r: r[0] in finals)), prob, state
 
     start = StateVector.from_input(circuit.input)
     yield from walk(0, start, (), 1.0)
@@ -184,13 +188,14 @@ def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, allow_swap_macros=False
 
 def run_exact(circuit: Circuit, n_cap=DEFAULT_N_CAP,
               allow_swap_macros=False) -> BranchDistribution:
-    """Exact joint distribution over all measurement records.
+    """Exact joint distribution over all measurement records, keyed by the
+    intermediates in walk order, then the finals in program order.
 
-    Final computational-basis measurements on distinct lines are expanded
-    analytically from the per-branch amplitudes; tilted or repeated-line
-    finals are handled by projective branching.
+    The finals that end the program are expanded analytically from the
+    per-branch amplitudes when computational and on distinct lines, and by
+    projective branching otherwise; ``branch_states`` measures the others.
     """
-    finals = [m for m in circuit.program if isinstance(m, Measure) and m.role == "final"]
+    finals = circuit.program[_trailing_finals(circuit.program):]
     order = tuple(m.record_id for m in circuit.measurements())
     probs = {}
     for records, prob, state in branch_states(circuit, n_cap, allow_swap_macros):
@@ -262,7 +267,7 @@ def sample_distribution(dist: BranchDistribution, shots: int, seed: int):
     p = np.array([dist.probs[k] for k in keys])
     p = np.clip(p, 0, None)
     p = p / p.sum()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     # the size numpy refuses, checked first since choice also rejects a bad p
     if shots > np.iinfo(np.intp).max // p.itemsize:
         raise CapExceeded(f"{shots} shots exceed the largest table numpy allocates")
@@ -281,7 +286,7 @@ def random_mg_circuit(n, depth, seed, n_intermediate=0, input_spec=None,
     [0, 2pi); intermediate measurements (if any) are placed at random program
     positions and later gates may pick up random parity guards on them.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     if input_spec is None:
         input_spec = bits_input("0" * n)
     program = []

@@ -39,12 +39,10 @@ from .errors import (
     BackendInapplicable,
     BlockTooLarge,
     CapExceeded,
-    NotSkew,
     ZeroProbabilityPrefix,
 )
 from .majorana import h_matrix, segment_rotation, t_from_r
 
-SKEW_TOL = 1e-10
 NEG_CLAMP = 1e-9
 ZERO_PREFIX = 1e-12
 ZONE_CAP = 14
@@ -56,22 +54,15 @@ PF_FLOOR = 1e-10
 SCHUR_CAP = 100.0
 
 
-def pfaffian(m, check=True) -> complex:
-    """Pfaffian of an antisymmetric matrix, sign included.
+def pfaffian(m) -> complex:
+    """Pfaffian of an exactly antisymmetric matrix, sign included.
 
     Skew-symmetric elimination to tridiagonal form with partial pivoting
     (Parlett-Reid), O(d^3), tracking the sign of row/column swaps.  The
     Pfaffian of an odd-dimensional matrix is 0 by convention.
     """
     a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSkew(f"expected square matrix, got shape {a.shape}")
     d = a.shape[0]
-    if check and d:
-        scale = max(1.0, float(np.max(np.abs(a))))
-        residual = float(np.max(np.abs(a + a.T)))
-        if residual > SKEW_TOL * scale:
-            raise NotSkew(f"skew-symmetry residual {residual:.3e}")
     if d % 2 == 1:
         return 0.0
     if d == 0:
@@ -134,7 +125,7 @@ def _projector_rows(t_row, outcome):
 class EvalStats:
     """Cost-law counters and numerical-health flags of one evaluation run.
 
-    The Heisenberg joint fills ``term_count`` (its nominal summand count).
+    The Heisenberg backend fills ``term_count`` (its nominal summand count).
     The Pfaffian joint fills ``evaluated_pairs``, the Pfaffians it computed:
     per joint one of the middle block F, plus one per parity-matched zone
     pair when the zone is not empty (of the Schur complement; on the
@@ -389,7 +380,7 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
     f = len(rows) - 2 * k
     # operator order: [bra zone (k), F (f), ket zone (k)]
     o = build_o(rows, h)
-    pf_f = pfaffian(o[k:k + f, k:k + f], check=False)
+    pf_f = pfaffian(o[k:k + f, k:k + f])
     stats.evaluated_pairs += 1
     if not k:
         return _clamp_probability(pf_f, stats.flags, "pfaffian")
@@ -406,7 +397,7 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
                 pf = pf_f  # the pair (0, 0) is F itself
             else:
                 idx = bra + middle + ket
-                pf = pfaffian(m[np.ix_(idx, idx)], check=False)
+                pf = pfaffian(m[np.ix_(idx, idx)])
                 stats.evaluated_pairs += 1
             value += amp * np.conj(amp_p) * pf
     return _clamp_probability(value if s is None else pf_f * value, stats.flags, "pfaffian")
@@ -489,7 +480,7 @@ def sample_many(circuit: Circuit, shots: int, seed: int,
     across workers.
     """
     sampler = sampler or ChainRuleSampler(circuit)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     try:
         rows = rng.random((shots, max(1, len(sampler.order))))
     except (ValueError, MemoryError) as exc:  # numpy refuses a table of this shape

@@ -238,8 +238,8 @@ def test_gadget_expand_nested_macros(tmp_path, capsys):
 
     expanded = parse_circuit(out.splitlines()[1])
     assert not expanded.has_macros()
-    ops = [i.op for i in expanded.program]
-    assert "gate" in ops and "measure" in ops
+    types = {type(i) for i in expanded.program}
+    assert Gate in types and Measure in types
     # one |+> auxiliary line per pair plus the closing one
     assert "# prepare_two_qubit_inputs.ancilla_lines=2" in out
 
@@ -466,7 +466,7 @@ def test_absurd_count_exits_inapplicable(capsys, adaptive_file, argv):
 def test_negative_probability_flag_reaches_report(capsys, fswap_file, monkeypatch):
     import matchsim.pfaffian
 
-    monkeypatch.setattr(matchsim.pfaffian, "pfaffian", lambda m, check=True: -0.5)
+    monkeypatch.setattr(matchsim.pfaffian, "pfaffian", lambda m: -0.5)
     code, out = run_cli(capsys, "prob", fswap_file, "-p", "01", "--backend", "pfaffian")
     assert code == 0
     assert "negative probability" in out
@@ -480,7 +480,7 @@ def test_negative_probability_flag_reaches_report(capsys, fswap_file, monkeypatc
 def test_nan_probability_exits_inapplicable(capsys, adaptive_file, monkeypatch):
     import matchsim.pfaffian
 
-    monkeypatch.setattr(matchsim.pfaffian, "pfaffian", lambda m, check=True: float("nan"))
+    monkeypatch.setattr(matchsim.pfaffian, "pfaffian", lambda m: float("nan"))
     for argv in (["prob", "F", "-p", "0**1", "--backend", "pfaffian"],
                  ["sample", "F", "--shots", "3", "--backend", "pfaffian"]):
         code, out = run_argv(capsys, argv, adaptive_file)
@@ -596,3 +596,78 @@ def test_gadget_expand_exit_code_property(tmp_path, capsys, doc, post_selected):
     assert code in (0, 2, 3)
     if code != 0:
         assert out == ""
+
+
+def _measures(role, *lines):
+    return [{"op": "measure", "line": l, "id": f"{role[0]}{l}", "role": role,
+             "basis": {"kind": "computational"}} for l in lines]
+
+
+_PLUS_STATE = [2 ** -0.5, 0, 2 ** -0.5, 0]
+_RY = [[[0.6, 0], [-0.8, 0]], [[0.8, 0], [0.6, 0]]]
+# ``gadget expand`` inputs covering the seven macro kinds.  In "prepare", the
+# toffoli's ancilla brings the register to the 7 lines that the nested
+# two_qubit_unitary macros of prepare_two_qubit_inputs name; they are checked
+# against that final line count.
+_EXPAND_CASES = {
+    "primitives": {
+        "n": 8, "input": [{"kind": "bits", "value": "01101000"}],
+        "program": [
+            {"op": "macro", "name": "hadamard", "target": 1, "ancilla": 2},
+            {"op": "macro", "name": "single_qubit_unitary", "target": 3, "ancilla": 4,
+             "matrix": _RY},
+            *_measures("intermediate", 8),
+            {"op": "macro", "name": "two_qubit_unitary", "line": 5, "ancilla_above": 4,
+             "ancilla_below": 7, "matrix": _CZ},
+            {"op": "macro", "name": "toffoli", "line": 1},
+            {"op": "macro", "name": "plus_state", "ancillas": [7, 8], "x": 0.3},
+            *_measures("final", 1, 3, 6, 8),
+        ],
+    },
+    "prepare": {
+        "n": 6, "input": [{"kind": "product", "states": [_PLUS_STATE]},
+                          {"kind": "bits", "value": "00"},
+                          {"kind": "product", "states": [_PLUS_STATE]},
+                          {"kind": "bits", "value": "00"}],
+        "program": [
+            {"op": "macro", "name": "prepare_two_qubit_inputs",
+             "patterns": [_BELL, [[0.6, 0], [0, 0.8], [0, 0], [0, 0]]]},
+            {"op": "macro", "name": "toffoli", "line": 2},
+            *_measures("final", 1, 2, 4),
+        ],
+    },
+    "swap": {
+        "n": 3, "input": [{"kind": "bits", "value": "100"}],
+        "program": [{"op": "macro", "name": "swap", "line": 1},
+                    {"op": "macro", "name": "swap", "line": 2},
+                    *_measures("final", 1, 2, 3)],
+    },
+}
+# SHA-256 of ``gadget expand`` stdout per case: text, --json, then the same
+# with --post-selected.
+_EXPAND_DIGESTS = {
+    "prepare": ("80f7ebdf17e51048be5541419e1e2564f42ad1b77dd149b9baaa543fc2a1709a",
+                "e5b0610946c939d20ea55df08baaa6b6e32d22e8639f8ece91137c46e28540e1",
+                "80f7ebdf17e51048be5541419e1e2564f42ad1b77dd149b9baaa543fc2a1709a",
+                "e5b0610946c939d20ea55df08baaa6b6e32d22e8639f8ece91137c46e28540e1"),
+    "primitives": ("275d6a88c71f2be11b93d8f78a0c80fc481b557ff08575bd20f02f66589e29a9",
+                   "e36d58eaf72fe6ed2035b852f0393f3f4805b0fb7887f03bff12613250607540",
+                   "275d6a88c71f2be11b93d8f78a0c80fc481b557ff08575bd20f02f66589e29a9",
+                   "e36d58eaf72fe6ed2035b852f0393f3f4805b0fb7887f03bff12613250607540"),
+    "swap": ("3144abbe0b0ca167025766285c0e7da27100d4e4a0a7e711125c670c328d5161",
+             "8fd58fffcd837e4bb9fb1cf47c729d9ae1814f4238ad11f10da62ea521d8472d",
+             "8171fdb36e0067a695ff361bd316962a09df756f35f4bfd366538651f001c8a1",
+             "7354864077d5c9ca04629678291fe140fcdde6544e0541ac3e12362c1b3f8c53"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXPAND_CASES))
+def test_gadget_expand_stdout_digests(capsys, tmp_path, case):
+    path = tmp_path / "macros.json"
+    path.write_text(json.dumps(_EXPAND_CASES[case]))
+    digests = []
+    for extra in ([], ["--json"], ["--post-selected"], ["--post-selected", "--json"]):
+        code, out = run_cli(capsys, "gadget", "expand", str(path), *extra)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == _EXPAND_DIGESTS[case]

@@ -115,7 +115,7 @@ def test_fswap_ladder_bell_half_roundtrip():
     st2 = apply_expansion(exp_all, spec)
     assert fidelity_on_lines(st2, tuple(range(5)), target) == pytest.approx(1.0)
     # forward alone relocates the half (up to fermionic signs): check norm
-    assert abs(st.norm() - 1) < 1e-12
+    assert abs(np.linalg.norm(st.amps) - 1) < 1e-12
 
 
 # -- hadamard / single-qubit / two-qubit ----------------------------------------

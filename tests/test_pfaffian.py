@@ -22,7 +22,7 @@ from matchsim.circuit import (
     bits_input,
     matchgate_from_angles,
 )
-from matchsim.errors import BlockTooLarge, NotSkew, ZeroProbabilityPrefix
+from matchsim.errors import BlockTooLarge, ZeroProbabilityPrefix
 from matchsim.heisenberg import heisenberg_sampler
 from matchsim.majorana import h_matrix
 from matchsim.oracle import random_mg_circuit, run_exact
@@ -89,11 +89,6 @@ def test_pfaffian_squared_equals_determinant():
 def test_pfaffian_odd_dimension_is_zero():
     assert pfaffian(np.zeros((3, 3))) == 0.0
     assert pfaffian(np.zeros((0, 0))) == pytest.approx(1.0)
-
-
-def test_pfaffian_rejects_non_skew():
-    with pytest.raises(NotSkew):
-        pfaffian(np.eye(4))
 
 
 def test_pfaffian_singular_matrix():

@@ -107,7 +107,7 @@ def test_roundtrip_preserves_representation_and_values():
     c = parse_circuit(json.dumps(doc))
     c2 = parse_circuit(serialize_circuit(c))
     for a, b in zip(c.program, c2.program):
-        if a.op == "gate":
+        if isinstance(a, Gate):
             assert np.allclose(a.gate.matrix(), b.gate.matrix(), atol=1e-15)
             assert (a.angles is None) == (b.angles is None)
             assert a.guard == b.guard
@@ -129,8 +129,8 @@ def test_all_block_kinds_roundtrip():
     t = serialize_circuit(c)
     c2 = parse_circuit(t)
     assert serialize_circuit(c2) == t
-    kinds = [b.kind for b in c2.input.blocks]
-    assert kinds == ["bits", "product", "entangled", "magic"]
+    kinds = [type(b) for b in c2.input.blocks]
+    assert kinds == [BitsBlock, ProductBlock, EntangledBlock, MagicBlock]
 
 
 def test_macro_roundtrip():
