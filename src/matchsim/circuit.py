@@ -107,12 +107,18 @@ def matchgate_from_angles(angles: MatchgateAngles) -> Matchgate:
     (exp(i p1 Z) x exp(i p2 Z)).
 
     On the even-parity subspace XX acts as X and YY as -X, on the odd-parity
-    subspace both act as X, so the product collapses to 2x2 factors.
+    subspace both act as X, so the product collapses to 2x2 factors.  Both
+    are products of unit-determinant unitaries, so only non-finite angles
+    need a check: they raise NotUnitary.
     """
     al, be, p1, p2, p3, p4 = angles.as_tuple()
     a = _exp_iz(p3 + p4) @ _exp_ix(al - be) @ _exp_iz(p1 + p2)
     b = _exp_iz(p3 - p4) @ _exp_ix(al + be) @ _exp_iz(p1 - p2)
-    return matchgate_from_components(a, b)
+    for m, which in ((a, "a"), (b, "b")):
+        if not np.isfinite(m).all():
+            raise NotUnitary(which, float("inf"))
+    a.flags.writeable = b.flags.writeable = False
+    return Matchgate(a, b)
 
 
 def gates_equal_up_to_phase(u, v, tol=1e-9) -> bool:
@@ -419,9 +425,6 @@ class Circuit:
         if role is not None:
             out = [m for m in out if m.role == role]
         return out
-
-    def macros(self):
-        return [i for i in self.program if isinstance(i, Macro)]
 
     def has_macros(self):
         return any(isinstance(i, Macro) for i in self.program)

@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedLayout,
     ValidationError,
 )
-from .serialize import json2matrix, matrix2json
+from .serialize import json2matrix
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 XHX = X2 @ H2 @ X2
@@ -75,11 +75,9 @@ class GadgetCost:
 
 @dataclass
 class GadgetExpansion:
-    """Instructions to splice in, ancilla blocks to append to the input, and
-    the resources they cost."""
+    """Instructions to splice in and the resources they cost."""
 
     instructions: list = field(default_factory=list)
-    new_blocks: list = field(default_factory=list)
     cost: GadgetCost = field(default_factory=GadgetCost)
 
     def gate(self, line, mg, guard=None):
@@ -92,7 +90,6 @@ class GadgetExpansion:
 
     def extend(self, other: "GadgetExpansion"):
         self.instructions.extend(other.instructions)
-        self.new_blocks.extend(other.new_blocks)
         self.cost += other.cost
 
 
@@ -125,10 +122,7 @@ def phase_gate_on(exp: GadgetExpansion, line, phi, pair_line):
     if abs(np.remainder(phi, np.pi)) < ANGLE_EPS or abs(np.remainder(phi, np.pi) - np.pi) < ANGLE_EPS:
         return
     p = np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
-    if line == pair_line:
-        exp.gate(pair_line, matchgate_from_components(p, p))
-    else:
-        exp.gate(pair_line, matchgate_from_components(p, p.conj()))
+    exp.gate(pair_line, matchgate_from_components(p, p if line == pair_line else p.conj()))
 
 
 def xx_yy_gate(a, b) -> Matchgate:
@@ -418,13 +412,13 @@ Z_LOWER = matchgate_from_components(np.diag([1.0, -1.0]).astype(complex),
 # Adaptive Pauli corrections of the SWAP gadget, derived once by oracle
 # search over all 16 Bell-outcome branches and frozen here; the regression
 # test re-derives the table.  Records are (r1, r2) for the upper Bell
-# measurement and (r3, r4) for the lower one; each correction fires on odd
-# parity of its record subset.
+# measurement and (r3, r4) for the lower one; each correction is a gate on
+# line target + offset that fires on odd parity of its record subset.
 SWAP_CORRECTIONS = (
-    ("x_mid_upper", (2, 3)),  # X on the upper live line, via X(x)X against r2's junk line
-    ("z_mid_upper", (2,)),    # Z on the upper live line
-    ("x_mid_lower", (0, 1)),  # X on the lower live line, via X(x)X against r3's junk line
-    ("z_mid_lower", (0,)),    # Z on the lower live line
+    (1, XX_PAIR, (2, 3)),  # X on the upper live line, via X(x)X against r2's junk line
+    (2, Z_UPPER, (2,)),    # Z on the upper live line
+    (3, XX_PAIR, (0, 1)),  # X on the lower live line, via X(x)X against r3's junk line
+    (2, Z_LOWER, (0,)),    # Z on the lower live line
 )
 
 
@@ -443,7 +437,7 @@ def swap_gadget(target, magic_start, sink_base, ids: IdGen, post_selected=False)
     end (returned separately as ``final_measures``); conditioning those
     records on 0 reproduces the adaptive gadget's effect.
 
-    Returns (expansion, the four record ids, final_measures).
+    Returns (expansion, final_measures).
     """
     if magic_start < target + 2:
         raise NoMagicAvailable("magic block must sit below the target pair")
@@ -471,15 +465,8 @@ def swap_gadget(target, magic_start, sink_base, ids: IdGen, post_selected=False)
         exp.measure(t + 1, recs[1])
         exp.measure(t + 4, recs[2])
         exp.measure(t + 5, recs[3])
-        corr_gates = {
-            "x_mid_upper": (t + 1, XX_PAIR),
-            "z_mid_upper": (t + 2, Z_UPPER),
-            "x_mid_lower": (t + 3, XX_PAIR),
-            "z_mid_lower": (t + 2, Z_LOWER),
-        }
-        for name, subset in SWAP_CORRECTIONS:
-            line, mg = corr_gates[name]
-            exp.gate(line, mg, Guard(frozenset(recs[i] for i in subset), 1))
+        for offset, mg, subset in SWAP_CORRECTIONS:
+            exp.gate(t + offset, mg, Guard(frozenset(recs[i] for i in subset), 1))
     # dispose the four consumed lines to the caller-assigned region just
     # above already-parked junk; the X(x)X corrections flipped the bits of
     # the two inner junk lines, so their disposal guards carry those
@@ -492,46 +479,7 @@ def swap_gadget(target, magic_start, sink_base, ids: IdGen, post_selected=False)
     ]
     for k, (pos, bit_ids) in enumerate(junk):
         exp.extend(fswap_ladder(pos, sink_base - k, guard_ids=None if post_selected else bit_ids))
-    return exp, recs, final_measures
-
-
-def gadgetize_swaps(circuit: Circuit, post_selected=False):
-    """Replace every SWAP pseudo-gate macro by the SWAP gadget.
-
-    Appends one magic block per SWAP to the input; in the post-selected
-    variant the gadget measurements are deferred to the circuit end, with no
-    guards and plain fSWAP disposal, so that conditioning all of them on 0
-    reproduces the original circuit's distribution.
-
-    Returns (circuit, ancilla_records, cost) where ancilla_records lists the
-    four gadget measurement records per SWAP and cost sums the gadgets'
-    costs.
-    """
-    k = sum(1 for ins in circuit.macros() if ins.name == "swap")
-    cost = GadgetCost()
-    if k == 0:
-        return circuit, [], cost
-    ids = IdGen({m.record_id for m in circuit.measurements()}, prefix="sw")
-    n_new = circuit.n + 4 * k
-    blocks = list(circuit.input.blocks) + [MagicBlock() for _ in range(k)]
-    program = []
-    trailing_finals = []
-    all_records = []
-    for ins in circuit.program:
-        if not (isinstance(ins, Macro) and ins.name == "swap"):
-            program.append(ins)
-            continue
-        # each gadget sinks its four junk lines below every unconsumed magic
-        # block, so the next block always starts at line circuit.n
-        exp, recs, finals = swap_gadget(ins.line("line", circuit.n - 1), circuit.n,
-                                        n_new - 1 - 4 * len(all_records), ids, post_selected)
-        program.extend(exp.instructions)
-        trailing_finals.extend(finals)
-        all_records.append(recs)
-        cost += exp.cost
-    program.extend(trailing_finals)
-    out = Circuit(n_new, InputSpec(tuple(blocks)), tuple(program))
-    return out.validate(), all_records, cost
+    return exp, final_measures
 
 
 # ---------------------------------------------------------------------------
@@ -638,22 +586,15 @@ def prepare_two_qubit_inputs(patterns, ids: IdGen) -> GadgetExpansion:
     """Generate arbitrary two-qubit states on neighbouring line pairs.
 
     Operates on the interleaved register |+>|00>|+>|00>...|+> (auxiliary
-    lines at 0, 3, 6, ...).  Each pair is driven to its target by a nested
-    two_qubit_unitary macro; afterwards the auxiliary lines are measured in
-    the computational basis and adaptively swapped out to the bottom, so the
+    lines at 0, 3, 6, ...).  Each pair is driven to its target by
+    two_qubit_unitary; afterwards the auxiliary lines are measured in the
+    computational basis and adaptively swapped out to the bottom, so the
     prepared pairs end up contiguous at lines (2i, 2i+1).
     """
     exp = GadgetExpansion()
     p = len(patterns)
     for i, amps in enumerate(patterns):
-        v = pair_prep_unitary(amps)
-        exp.instructions.append(Macro.make(
-            "two_qubit_unitary",
-            line=3 * i + 2,  # macro params are 1-based
-            ancilla_above=3 * i + 1,
-            ancilla_below=3 * i + 4,
-            matrix=matrix2json(v),
-        ))
+        exp.extend(two_qubit_unitary(3 * i + 1, pair_prep_unitary(amps), 3 * i, 3 * i + 3))
     _measure_and_sink(exp, [3 * i for i in range(p, -1, -1)], 3 * p, ids, "aux")
     exp.cost.ancilla_lines = p + 1
     return exp
@@ -767,35 +708,44 @@ def compile_circuit(circuit: Circuit):
 
 
 def expand_macros(circuit: Circuit, post_selected_swaps=False):
-    """Lower every gadget macro to primitive instructions.
+    """Lower every gadget macro to primitive instructions, in one walk in
+    program order.
 
-    One walk lowers each non-swap macro in place, its lines checked against
-    the register extended so far.  A second lowers the macros the first
-    emitted, against the final line count: only ``prepare_two_qubit_inputs``
-    emits any, ``two_qubit_unitary`` ones, which emit none and add no lines.
-    SWAP pseudo-gates are gadgetized last since they extend the register.
-    Returns (circuit, cost report dict).
+    Each macro's lines are checked against the register as it stands where
+    the macro runs: the circuit's lines plus the toffoli ancillas appended so
+    far.  One magic block per SWAP follows the last toffoli ancilla; each
+    SWAP gadget sinks its four measured lines below every unconsumed block,
+    so the next block always starts at the same line.  Post-selected SWAP
+    measurements go at the end of the program.  Returns (circuit, cost
+    report dict keyed by macro name).
     """
-    ids = IdGen({m.record_id for m in circuit.measurements()})
-    report, blocks = {}, list(circuit.input.blocks)
-
-    def lower(program):
-        for ins in program:
-            if not isinstance(ins, Macro) or ins.name == "swap":
-                yield ins
-                continue
-            exp = _expand_macro(ins, sum(b.n for b in blocks), ids)
-            blocks.extend(exp.new_blocks)
-            entry = report.setdefault(ins.name, GadgetCost())
-            entry += exp.cost
-            yield from exp.instructions
-
-    # the first walk ends before the second starts, which sees the final line count
-    program = tuple(lower(list(lower(circuit.program))))
-    circuit = Circuit(sum(b.n for b in blocks), InputSpec(tuple(blocks)), program)
-    if circuit.has_macros():
-        circuit, _, report["swap"] = gadgetize_swaps(circuit, post_selected_swaps)
-    return circuit, report
+    names = [ins.name for ins in circuit.program if isinstance(ins, Macro)]
+    magic_start = circuit.n + names.count("toffoli")
+    n_final = magic_start + 4 * names.count("swap")
+    taken = {m.record_id for m in circuit.measurements()}
+    ids, swap_ids = IdGen(taken), IdGen(taken, prefix="sw")
+    n, blocks, program, trailing = circuit.n, list(circuit.input.blocks), [], []
+    report, swaps = {}, 0
+    for ins in circuit.program:
+        if not isinstance(ins, Macro):
+            program.append(ins)
+            continue
+        if ins.name == "swap":
+            # the j-th gadget sinks its lines to the j-th 4-line region up from the bottom
+            exp, finals = swap_gadget(ins.line("line", n - 1), magic_start, n_final - 1 - 4 * swaps,
+                                      swap_ids, post_selected_swaps)
+            trailing.extend(finals)
+            swaps += 1
+        else:
+            exp = _expand_macro(ins, n, ids)
+            if ins.name == "toffoli":
+                blocks.append(BitsBlock("0"))
+                n += 1
+        entry = report.setdefault(ins.name, GadgetCost())
+        entry += exp.cost
+        program.extend(exp.instructions)
+    blocks.extend(MagicBlock() for _ in range(swaps))
+    return Circuit(n_final, InputSpec(tuple(blocks)), tuple(program + trailing)), report
 
 
 def _expand_macro(ins: Macro, n, ids) -> GadgetExpansion:
@@ -816,13 +766,14 @@ def _expand_macro(ins: Macro, n, ids) -> GadgetExpansion:
         patterns = ins.param("patterns")
         if not isinstance(patterns, list):
             raise ValidationError("macro", f"{name}: 'patterns' must be a list, got {patterns!r}")
+        if 3 * len(patterns) + 1 > n:
+            raise ValidationError("macro", f"{name}: {len(patterns)} patterns need "
+                                           f"{3 * len(patterns) + 1} lines, the register has {n}")
         return prepare_two_qubit_inputs(
             json2matrix(patterns, (len(patterns), 4), f"{name}: 'patterns'"), ids)
     if name == "toffoli":
-        exp = GadgetExpansion()
-        exp.new_blocks.append(BitsBlock("0"))
+        exp = toffoli_gadget(ins.line("line", n - 2), n, ids)
         exp.cost.ancilla_lines += 1
-        exp.extend(toffoli_gadget(ins.line("line", n - 2), n, ids))
         return exp
     if name == "plus_state":
         ancillas = ins.param("ancillas")

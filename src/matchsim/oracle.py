@@ -30,10 +30,6 @@ HARD_N_CAP = 20
 BRANCH_CAP = 20
 PRUNE_EPS = 1e-12
 
-SWAP4 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
 
 @dataclass
 class StateVector:
@@ -127,28 +123,21 @@ def check_width(n, n_cap=DEFAULT_N_CAP):
         raise CapExceeded(f"n={n} exceeds oracle cap {min(n_cap, HARD_N_CAP)}")
 
 
-def _macro_unitary(ins: Macro, n):
-    if ins.name == "swap":
-        return SWAP4, ins.line("line", n - 1)
-    raise ValidationError("macro", f"oracle cannot execute macro {ins.name!r}")
-
-
 def _trailing_finals(program) -> int:
     """Index of the run of final measurements that ends ``program``."""
     return max((i + 1 for i, ins in enumerate(program)
                 if not (isinstance(ins, Measure) and ins.role == "final")), default=0)
 
 
-def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, allow_swap_macros=False):
+def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP):
     """Depth-first enumeration over the outcomes of the intermediate
     measurements and of each final one that a later instruction follows.
 
     Yields (records, probability, state) per branch: ``records`` lists the
     intermediates in walk order, then those finals, and ``state`` is the
     normalized state before the final measurements that end the program.
-    Branches of probability at most ``PRUNE_EPS`` are dropped.  With
-    ``allow_swap_macros`` the (non-matchgate) SWAP pseudo-gate is applied
-    literally; other macros are rejected.
+    Branches of probability at most ``PRUNE_EPS`` are dropped.  Macros are
+    rejected.
     """
     check_width(circuit.n, n_cap)
     stop = _trailing_finals(circuit.program)
@@ -164,10 +153,7 @@ def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, allow_swap_macros=False
                 if ins.guard is None or ins.guard.fires(dict(records)):
                     state.apply_gate(ins.gate, ins.line)
             elif isinstance(ins, Macro):
-                if not allow_swap_macros:
-                    raise ValidationError("macro", "circuit contains unexpanded macros")
-                u, line = _macro_unitary(ins, circuit.n)
-                state.apply_two_qubit(u, line)
+                raise ValidationError("macro", "circuit contains unexpanded macros")
             else:
                 probs = state.measure_probabilities(ins.line, ins.basis)
                 for outcome in (0, 1):
@@ -186,8 +172,7 @@ def branch_states(circuit: Circuit, n_cap=DEFAULT_N_CAP, allow_swap_macros=False
     yield from walk(0, start, (), 1.0)
 
 
-def run_exact(circuit: Circuit, n_cap=DEFAULT_N_CAP,
-              allow_swap_macros=False) -> BranchDistribution:
+def run_exact(circuit: Circuit, n_cap=DEFAULT_N_CAP) -> BranchDistribution:
     """Exact joint distribution over all measurement records, keyed by the
     intermediates in walk order, then the finals in program order.
 
@@ -198,7 +183,7 @@ def run_exact(circuit: Circuit, n_cap=DEFAULT_N_CAP,
     finals = circuit.program[_trailing_finals(circuit.program):]
     order = tuple(m.record_id for m in circuit.measurements())
     probs = {}
-    for records, prob, state in branch_states(circuit, n_cap, allow_swap_macros):
+    for records, prob, state in branch_states(circuit, n_cap):
         stack = [(records, prob, state, 0)]
         while stack:
             rec, pr, st, fi = stack.pop()

@@ -3,11 +3,15 @@ counterparts of the package's fast paths, and fixtures of the gadget tests."""
 
 import numpy as np
 
-from matchsim.circuit import NORM_TOL, BitsBlock, InputSpec, Measure, ProductBlock
+from matchsim.circuit import H2, NORM_TOL, BitsBlock, Gate, InputSpec, Macro, Measure, ProductBlock
 from matchsim.errors import MatchsimError
-from matchsim.gadgets import PLUS, IdGen, plus_state_gadget
+from matchsim.gadgets import PLUS, X2, IdGen, plus_state_gadget
 from matchsim.majorana import PAULI_MATS
 from matchsim.oracle import StateVector
+from matchsim.serialize import json2matrix
+
+# the literal SWAP, which the swap macro stands for; no matchgate
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 def pfaffian_brute(m) -> complex:
@@ -126,3 +130,77 @@ def prepare_layout_input(patterns) -> InputSpec:
         blocks.append(BitsBlock("00"))
         blocks.append(ProductBlock((PLUS,)))
     return InputSpec(tuple(blocks))
+
+
+def added_records(circuit, expanded, role):
+    """Ids of the ``role`` measurements that ``expanded`` has and ``circuit``
+    lacks, in program order: the records a macro expansion added."""
+    own = {m.record_id for m in circuit.measurements()}
+    return [m.record_id for m in expanded.measurements(role) if m.record_id not in own]
+
+
+def _apply_one(state: StateVector, u, line):
+    view = state.amps.reshape(1 << line, 2, -1)
+    view[...] = np.einsum("ab,ibj->iaj", u, view.copy())
+
+
+def macro_reference(circuit) -> dict:
+    """Joint distribution of the finals of ``circuit``, keyed by bit tuples
+    in program order, with every macro applied as the operation it stands
+    for on the circuit's lines plus one appended |0> line per toffoli.
+
+    hadamard and single_qubit_unitary act on their target, two_qubit_unitary
+    on (line, line+1), swap is the literal SWAP, and toffoli measures its
+    two controls and flips its target and its appended line when both read
+    1.  The program holds unguarded gates, macros and, at its end, finals on
+    distinct lines.
+    """
+    branches = [(1.0, StateVector.from_input(circuit.input))]
+    finals = []
+    for ins in circuit.program:
+        n = branches[0][1].n
+        if isinstance(ins, Gate):
+            assert ins.guard is None
+            for _, st in branches:
+                st.apply_gate(ins.gate, ins.line)
+        elif isinstance(ins, Measure):
+            assert ins.role == "final"
+            finals.append(ins.line)
+        elif ins.name == "toffoli":
+            c1 = ins.line("line", n - 2)
+            split = []
+            for p, st in branches:
+                grown = StateVector(n + 1, np.kron(st.amps, [1, 0]))
+                for b1, b2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    child = grown.copy()
+                    q = child.collapse(c1, b1) * child.collapse(c1 + 1, b2)
+                    if p * q > 1e-14:
+                        if b1 and b2:
+                            _apply_one(child, X2, c1 + 2)
+                            _apply_one(child, X2, n)
+                        split.append((p * q, child))
+            branches = split
+        else:
+            for _, st in branches:
+                _apply_macro(st, ins, n)
+    out = {}
+    for p, st in branches:
+        probs = np.abs(st.amps.reshape([2] * st.n)) ** 2
+        rest = tuple(l for l in range(st.n) if l not in finals)
+        marg = np.transpose(probs.sum(axis=rest), [sorted(finals).index(l) for l in finals])
+        for bits in np.ndindex(marg.shape):
+            out[bits] = out.get(bits, 0.0) + p * float(marg[bits])
+    return out
+
+
+def _apply_macro(st: StateVector, ins: Macro, n):
+    if ins.name == "hadamard":
+        _apply_one(st, H2, ins.line("target", n))
+    elif ins.name == "single_qubit_unitary":
+        _apply_one(st, json2matrix(ins.param("matrix"), (2, 2), "u"), ins.line("target", n))
+    elif ins.name == "two_qubit_unitary":
+        st.apply_two_qubit(json2matrix(ins.param("matrix"), (4, 4), "u"), ins.line("line", n - 1))
+    elif ins.name == "swap":
+        st.apply_two_qubit(SWAP, ins.line("line", n - 1))
+    else:
+        raise ValueError(f"no dense reference for macro {ins.name!r}")

@@ -25,7 +25,6 @@ from matchsim.gadgets import (
     IdGen,
     PLUS,
     compile_circuit,
-    gadgetize_swaps,
     plus_state_gadget,
     prepare_two_qubit_inputs,
     expand_macros,
@@ -40,14 +39,16 @@ from matchsim.pfaffian import (
     sample_many,
 )
 from helpers import (
+    SWAP,
+    added_records,
     fidelity_on_lines,
+    macro_reference,
     pfaffian_brute,
     plus_gadget_success_probability,
     prepare_layout_input,
 )
 
 RNG = np.random.default_rng(20260810)
-SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 def _random_state(dim, rng):
@@ -220,9 +221,9 @@ def test_acceptance_5_swap_gadget():
         c = Circuit(2, InputSpec((EntangledBlock(2, alpha),)),
                     (Macro.make("swap", line=1),
                      Measure(0, "x0", "final"), Measure(1, "x1", "final")))
-        gad, recs, _ = gadgetize_swaps(c)
+        gad, _ = expand_macros(c)
         assert sum(1 for b in gad.input.blocks if isinstance(b, MagicBlock)) == 1
-        assert len(recs) == 1 and len(recs[0]) == 4
+        assert len(added_records(c, gad, "intermediate")) == 4
         want = SWAP @ alpha
         branches = 0
         for records, prob, state in branch_states(gad):
@@ -320,12 +321,13 @@ def test_acceptance_8_post_selection_identity():
             spec = InputSpec((EntangledBlock(n, alpha),)) if n <= 2 else InputSpec(
                 (BitsBlock("1"), EntangledBlock(n - 1, _random_state(2 ** (n - 1), rng))))
             d = Circuit(n, spec, tuple(prog))
-            dist_d = run_exact(d, allow_swap_macros=True)
-            dprime, recs, _ = gadgetize_swaps(d, post_selected=True)
-            constraints = {r: 0 for group in recs for r in group}
-            cond = post_select(run_exact(dprime), constraints)
-            for rec, p in dist_d.probs.items():
-                worst = max(worst, abs(p - cond.probs.get(rec, 0.0)))
+            want = macro_reference(d)
+            dprime, _ = expand_macros(d, post_selected_swaps=True)
+            constraints = {r: 0 for r in added_records(d, dprime, "final")}
+            cond = post_select(run_exact(dprime), constraints).marginal(
+                [m.record_id for m in d.measurements("final")])
+            for key in set(want) | set(cond):
+                worst = max(worst, abs(want.get(key, 0.0) - cond.get(key, 0.0)))
     assert worst < 1e-8
     print(f"\nPASS criterion 8: post-selection identity max dev {worst:.2e}")
 

@@ -55,6 +55,29 @@ def test_angles_all_zero_gives_identity():
     assert np.allclose(g.matrix(), np.eye(4))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("angles, which", [
+    ((float("nan"), 0, 0, 0, 0, 0), "a"),
+    ((0, 0, 0, 0, float("inf"), 0), "a"),
+    # p3 + p4 = 0 keeps a finite; p3 - p4 overflows in b
+    ((0, 0, 0, 0, 1e308, -1e308), "b"),
+])
+def test_non_finite_angles_rejected(angles, which):
+    with pytest.raises(NotUnitary) as exc:
+        matchgate_from_angles(MatchgateAngles(*angles))
+    assert exc.value.which == which
+
+
+def test_angle_gates_pass_the_component_checks():
+    # built without re-validation, they equal the validated gate bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        g = matchgate_from_angles(MatchgateAngles(*rng.uniform(-50, 50, size=6)))
+        checked = matchgate_from_components(g.a, g.b)
+        assert np.array_equal(g.a, checked.a) and np.array_equal(g.b, checked.b)
+        assert not (g.a.flags.writeable or g.b.flags.writeable)
+
+
 def test_zero_interaction_gives_diagonal_blocks():
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -240,17 +263,18 @@ def test_swap_gadget_circuit_all_16_assignments_resolve_distinctly():
     from dataclasses import replace
 
     from matchsim.circuit import EntangledBlock, Macro
-    from matchsim.gadgets import gadgetize_swaps
+    from matchsim.gadgets import expand_macros
 
     alpha = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
     c = Circuit(2, InputSpec((EntangledBlock(2, alpha),)),
                 (Macro.make("swap", line=1),
                  Measure(0, "x0", "final"), Measure(1, "x1", "final")))
-    gad, recs, _ = gadgetize_swaps(c)
+    gad, _ = expand_macros(c)
     finals = gad.measurements("final")
+    recs = [m.record_id for m in gad.measurements("intermediate")]
     seqs = set()
     for bits in np.ndindex(2, 2, 2, 2):
-        outcomes = dict(zip(recs[0], map(int, bits)))
+        outcomes = dict(zip(recs, map(int, bits)))
         gates = [g for seg in instantiate_segments(gad, outcomes) for g in seg]
         seqs.add(tuple((g.line, id(g.gate)) for g in gates))
         unguarded = [replace(g, guard=None) for g in gates]

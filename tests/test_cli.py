@@ -242,6 +242,8 @@ def test_gadget_expand_nested_macros(tmp_path, capsys):
     assert Gate in types and Measure in types
     # one |+> auxiliary line per pair plus the closing one
     assert "# prepare_two_qubit_inputs.ancilla_lines=2" in out
+    # the pair unitary's cost counts under the macro the file names
+    assert "two_qubit_unitary" not in out
 
 
 def test_xcheck_random_deterministic_bytes(capsys):
@@ -605,10 +607,7 @@ def _measures(role, *lines):
 
 _PLUS_STATE = [2 ** -0.5, 0, 2 ** -0.5, 0]
 _RY = [[[0.6, 0], [-0.8, 0]], [[0.8, 0], [0.6, 0]]]
-# ``gadget expand`` inputs covering the seven macro kinds.  In "prepare", the
-# toffoli's ancilla brings the register to the 7 lines that the nested
-# two_qubit_unitary macros of prepare_two_qubit_inputs name; they are checked
-# against that final line count.
+# ``gadget expand`` inputs covering the seven macro kinds.
 _EXPAND_CASES = {
     "primitives": {
         "n": 8, "input": [{"kind": "bits", "value": "01101000"}],
@@ -625,10 +624,11 @@ _EXPAND_CASES = {
         ],
     },
     "prepare": {
-        "n": 6, "input": [{"kind": "product", "states": [_PLUS_STATE]},
+        "n": 7, "input": [{"kind": "product", "states": [_PLUS_STATE]},
                           {"kind": "bits", "value": "00"},
                           {"kind": "product", "states": [_PLUS_STATE]},
-                          {"kind": "bits", "value": "00"}],
+                          {"kind": "bits", "value": "00"},
+                          {"kind": "product", "states": [_PLUS_STATE]}],
         "program": [
             {"op": "macro", "name": "prepare_two_qubit_inputs",
              "patterns": [_BELL, [[0.6, 0], [0, 0.8], [0, 0], [0, 0]]]},
@@ -642,14 +642,29 @@ _EXPAND_CASES = {
                     {"op": "macro", "name": "swap", "line": 2},
                     *_measures("final", 1, 2, 3)],
     },
+    # toffoli ancillas and magic blocks in one register; the first swap
+    # acts on the first toffoli's ancilla
+    "mixed": {
+        "n": 4, "input": [{"kind": "bits", "value": "1101"}],
+        "program": [{"op": "macro", "name": "toffoli", "line": 1},
+                    {"op": "macro", "name": "swap", "line": 4},
+                    *_measures("intermediate", 2),
+                    {"op": "macro", "name": "toffoli", "line": 2},
+                    {"op": "macro", "name": "swap", "line": 1},
+                    *_measures("final", 1, 3)],
+    },
 }
 # SHA-256 of ``gadget expand`` stdout per case: text, --json, then the same
 # with --post-selected.
 _EXPAND_DIGESTS = {
-    "prepare": ("80f7ebdf17e51048be5541419e1e2564f42ad1b77dd149b9baaa543fc2a1709a",
-                "e5b0610946c939d20ea55df08baaa6b6e32d22e8639f8ece91137c46e28540e1",
-                "80f7ebdf17e51048be5541419e1e2564f42ad1b77dd149b9baaa543fc2a1709a",
-                "e5b0610946c939d20ea55df08baaa6b6e32d22e8639f8ece91137c46e28540e1"),
+    "mixed": ("374a1ef0e5fbf60052243b1a0af68bdc65997566f9aa5d60d32b5e11291e33c3",
+              "d8686576e312daf24af92a855e3eb334eee90a16b28dbee34eebaec8b461ba39",
+              "3288bcee89c078c8ee89f1ca071b6e6dd1ef7983455c3b0d988a5cce131270ec",
+              "1c15551619091db6cb83613f1daa66f6b953f5f306d38ddb59a00bf9f59d9f25"),
+    "prepare": ("d5b843de937715439e632d1f0e1fae4a1dc44ad9b13e5a02603c9b0623eb5c46",
+                "94e0c8bef57b8c2d0ca4b9541f9954f708bac0fe49f1464b027ebda7a567df8e",
+                "d5b843de937715439e632d1f0e1fae4a1dc44ad9b13e5a02603c9b0623eb5c46",
+                "94e0c8bef57b8c2d0ca4b9541f9954f708bac0fe49f1464b027ebda7a567df8e"),
     "primitives": ("275d6a88c71f2be11b93d8f78a0c80fc481b557ff08575bd20f02f66589e29a9",
                    "e36d58eaf72fe6ed2035b852f0393f3f4805b0fb7887f03bff12613250607540",
                    "275d6a88c71f2be11b93d8f78a0c80fc481b557ff08575bd20f02f66589e29a9",
@@ -671,3 +686,31 @@ def test_gadget_expand_stdout_digests(capsys, tmp_path, case):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == _EXPAND_DIGESTS[case]
+
+
+# Each macro's lines are checked against the register as it stands where the
+# macro runs, not against the line count after every toffoli ancilla.
+_BEFORE_ITS_LINES = {
+    # two pairs need 7 lines; the toffoli's ancilla would be the 7th
+    "prepare": {**_EXPAND_CASES["prepare"], "n": 6,
+                "input": _EXPAND_CASES["prepare"]["input"][:4]},
+    # the swap reaches line 4, the toffoli's ancilla, before the toffoli appends it
+    "swap": {"n": 3, "input": [{"kind": "bits", "value": "111"}],
+             "program": [{"op": "macro", "name": "swap", "line": 3},
+                         {"op": "macro", "name": "toffoli", "line": 1},
+                         *_measures("final", 1)]},
+}
+
+
+@pytest.mark.parametrize("command", [("gadget", "expand", "F"), _PROB],
+                         ids=["expand", "prob"])
+@pytest.mark.parametrize("case, message", [
+    ("prepare", "prepare_two_qubit_inputs: 2 patterns need 7 lines, the register has 6"),
+    ("swap", "swap: 'line' must be a line in 1..2, got 3"),
+], ids=["prepare", "swap"])
+def test_macro_lines_checked_as_the_register_stands(tmp_path, capsys, command, case, message):
+    path = tmp_path / "macro.json"
+    path.write_text(json.dumps(_BEFORE_ITS_LINES[case]))
+    code = main([str(path) if a == "F" else a for a in command])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and message in err

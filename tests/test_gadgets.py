@@ -1,10 +1,15 @@
 """Gadget-expansion correctness on the dense oracle, quantified over all
 adaptive branches with nonzero probability."""
 
+import contextlib
+import io
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchsim.circuit import (
     BitsBlock,
@@ -14,11 +19,14 @@ from matchsim.circuit import (
     InputSpec,
     Macro,
     MagicBlock,
+    MatchgateAngles,
     Measure,
     ProductBlock,
     bits_input,
+    matchgate_from_angles,
     matchgate_from_components,
 )
+from matchsim.cli import main
 from matchsim.errors import NoMagicAvailable, UnsupportedLayout
 from matchsim.gadgets import (
     H2,
@@ -33,7 +41,6 @@ from matchsim.gadgets import (
     compile_input,
     expand_macros,
     fswap_ladder,
-    gadgetize_swaps,
     hadamard_gadget,
     plus_state_gadget,
     prepare_two_qubit_inputs,
@@ -42,17 +49,20 @@ from matchsim.gadgets import (
     toffoli_gadget,
     two_qubit_unitary,
 )
-from matchsim.oracle import StateVector, branch_states, post_select, run_exact
+from matchsim.oracle import DEFAULT_N_CAP, StateVector, branch_states, post_select, run_exact
+from matchsim.serialize import matrix2json, serialize_circuit
 from helpers import (
+    SWAP,
     MaxAttemptsExceeded,
+    added_records,
     default_plus_attempts,
     fidelity_on_lines,
+    macro_reference,
     plus_gadget_success_probability,
     prepare_layout_input,
     run_plus_state_gadget,
 )
 
-SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 RNG = np.random.default_rng(77)
 
 
@@ -190,8 +200,7 @@ def _run_prepare(patterns):
     exp = prepare_two_qubit_inputs(patterns, IdGen())
     spec = prepare_layout_input(patterns)
     prog = tuple(exp.instructions) + (Measure(0, "x0", "final"),)
-    c, _ = expand_macros(Circuit(spec.n, spec, prog))
-    return c.validate()
+    return Circuit(spec.n, spec, prog).validate()
 
 
 def test_prepare_identity_pattern_trivial():
@@ -222,11 +231,13 @@ def test_prepare_two_random_pairs_all_branches():
 
 
 def _swap_macro_circuit(alpha, post=False):
+    """The expanded one-SWAP circuit and the four records its gadget added."""
     spec = InputSpec((EntangledBlock(2, alpha),))
     prog = (Macro.make("swap", line=1),
             Measure(0, "x0", "final"), Measure(1, "x1", "final"))
-    out, recs, _ = gadgetize_swaps(Circuit(2, spec, prog), post_selected=post)
-    return out, recs
+    c = Circuit(2, spec, prog)
+    out, _ = expand_macros(c, post_selected_swaps=post)
+    return out, added_records(c, out, "final" if post else "intermediate")
 
 
 def test_swap_gadget_basis_and_symmetric_states():
@@ -257,20 +268,22 @@ def test_swap_gadget_resource_accounting():
     assert c.n == 6  # +4 ancilla lines
     assert sum(1 for b in c.input.blocks if isinstance(b, MagicBlock)) == 1
     assert len(c.measurements("intermediate")) == 4
-    assert len(recs) == 1 and len(recs[0]) == 4
+    assert len(recs) == 4
 
 
 def test_swap_gadget_cost_ledger():
-    # each gadget records its own cost; gadgetize_swaps sums them
+    # each gadget records its own cost; the expansion sums them under "swap"
     spec = InputSpec((BitsBlock("100"),))
     prog = (Macro.make("swap", line=1), Macro.make("swap", line=2), Measure(0, "x0", "final"))
     for post in (False, True):
-        out, recs, cost = gadgetize_swaps(Circuit(3, spec, prog), post_selected=post)
-        assert cost == GadgetCost(gates=len(out.gates()), measurements=8, ancilla_lines=8,
-                                  magic_consumed=2)
+        out, report = expand_macros(Circuit(3, spec, prog), post_selected_swaps=post)
+        assert report == {"swap": GadgetCost(gates=len(out.gates()), measurements=8,
+                                             ancilla_lines=8, magic_consumed=2)}
         assert out.n == 3 + 8 and len(out.measurements()) == 1 + 8
-        assert [r for group in recs for r in group] == [
-            m.record_id for m in out.measurements() if m.record_id != "x0"]
+        # post-selected, the gadget records are finals after the circuit's own
+        assert [m.role for m in out.measurements() if m.record_id != "x0"] == (
+            ["final" if post else "intermediate"] * 8)
+        assert out.program[-9 if post else -1].record_id == "x0"
 
 
 def test_swap_gadget_requires_magic():
@@ -318,15 +331,9 @@ def test_swap_correction_table_regression():
         assert len(valid) == 1, (branch, valid)
         derived[branch] = valid[0]
     # the frozen table: each correction bit is the parity of a record subset
-    for idx, (_, subset) in enumerate(SWAP_CORRECTIONS):
+    for idx, (*_, subset) in enumerate(SWAP_CORRECTIONS):
         for branch, corr in derived.items():
             assert corr[idx] == (sum(branch[i] for i in subset) % 2)
-
-
-def test_gadgetize_no_swaps_is_identity():
-    c = Circuit(2, bits_input("01"), (Measure(0, "x", "final"),)).validate()
-    out, recs, cost = gadgetize_swaps(c)
-    assert out is c and recs == [] and cost == GadgetCost()
 
 
 def test_gadgetize_postselected_identity():
@@ -334,12 +341,12 @@ def test_gadgetize_postselected_identity():
     orig = Circuit(2, InputSpec((EntangledBlock(2, alpha),)),
                    (Macro.make("swap", line=1),
                     Measure(0, "x0", "final"), Measure(1, "x1", "final")))
-    d_orig = run_exact(orig, allow_swap_macros=True)
+    want = macro_reference(orig)
     cp, recs = _swap_macro_circuit(alpha, post=True)
     assert len(cp.measurements("intermediate")) == 0
-    cond = post_select(run_exact(cp), {r: 0 for r in recs[0]})
-    for rec, p in d_orig.probs.items():
-        assert abs(p - cond.probs.get(rec, 0.0)) < 1e-8
+    cond = post_select(run_exact(cp), {r: 0 for r in recs}).marginal(["x0", "x1"])
+    for key in set(want) | set(cond):
+        assert abs(want.get(key, 0.0) - cond.get(key, 0.0)) < 1e-8
 
 
 def test_gadgetize_swap_in_larger_circuit_with_following_gates():
@@ -352,13 +359,11 @@ def test_gadgetize_swap_in_larger_circuit_with_following_gates():
             Measure(0, "x0", "final"), Measure(1, "x1", "final"),
             Measure(2, "x2", "final"), Measure(3, "x3", "final"))
     orig = Circuit(4, spec, prog)
-    d_orig = run_exact(orig, allow_swap_macros=True)
-    gad, _, _ = gadgetize_swaps(orig)
-    d_gad = run_exact(gad)
-    marg = d_gad.marginal(["x0", "x1", "x2", "x3"])
-    for rec, p in d_orig.probs.items():
-        key = tuple(dict(rec)[f"x{j}"] for j in range(4))
-        assert abs(p - marg.get(key, 0.0)) < 1e-8
+    want = macro_reference(orig)
+    gad, _ = expand_macros(orig)
+    marg = run_exact(gad).marginal(["x0", "x1", "x2", "x3"])
+    for key in set(want) | set(marg):
+        assert abs(want.get(key, 0.0) - marg.get(key, 0.0)) < 1e-8
 
 
 # -- toffoli ----------------------------------------------------------------------
@@ -473,14 +478,134 @@ def test_expand_macro_free_circuit_unchanged():
 
 
 def test_expansions_validate_and_reparse():
-    from matchsim.serialize import parse_circuit, serialize_circuit
+    from matchsim.serialize import parse_circuit
 
     pats = [random_state(4)]
-    exp = prepare_two_qubit_inputs(pats, IdGen())
     spec = prepare_layout_input(pats)
-    c = Circuit(spec.n, spec, tuple(exp.instructions) + (Measure(0, "xf", "final"),))
-    out, report = expand_macros(c)
+    macro = Macro.make("prepare_two_qubit_inputs", patterns=matrix2json(np.array(pats)))
+    out, report = expand_macros(Circuit(spec.n, spec, (macro, Measure(0, "xf", "final"))))
     out.validate()
     assert not out.has_macros()
     assert parse_circuit(serialize_circuit(out)).n == out.n
-    assert "two_qubit_unitary" in report
+    # the pair unitaries' gates count under the macro the circuit names
+    assert list(report) == ["prepare_two_qubit_inputs"]
+    assert report["prepare_two_qubit_inputs"].gates == len(out.gates())
+
+
+# -- macro semantics ------------------------------------------------------------------
+
+
+def _placements(lay):
+    """0-based line tuples at which each macro with a dense reference can act
+    on the layout ``lay``, one letter per line: "d" data, "+" a |+> ancilla.
+    Swaps may move an ancilla, toffolis may target one (X|+> = |+>)."""
+    m = len(lay)
+    beside = [(t, a) for t in range(m) for a in (t - 1, t + 1)
+              if lay[t] == "d" and 0 <= a < m and lay[a] == "+"]
+    return {
+        "hadamard": beside,
+        "single_qubit_unitary": beside,
+        "two_qubit_unitary": [(i,) for i in range(1, m - 2) if lay[i - 1:i + 3] == "+dd+"],
+        "toffoli": [(i,) for i in range(m - 2) if lay[i:i + 2] == "dd"],
+        "swap": [(i,) for i in range(m - 1)],
+    }
+
+
+@st.composite
+def _macro_circuits(draw):
+    """1-3 macros, at most two of them swaps, interleaved with random
+    matchgates on neighbouring data lines, on a layout of data lines in
+    random states and |+> lines, whose expansion has at most DEFAULT_N_CAP
+    lines.  Macros may act on the toffoli ancillas; gates and the finals,
+    which measure every line, stay on the circuit's own lines, as in a
+    file."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lay = "".join(draw(st.lists(st.sampled_from(["+dd+", "ddd", "d+", "+d"]), min_size=1,
+                                max_size=2)))
+    spec = InputSpec((ProductBlock(tuple(PLUS if c == "+" else random_state(2, rng)
+                                         for c in lay)),))
+    n, swaps, program = len(lay), 0, []
+    for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(0, 2))):
+            pairs = [i for i in range(n - 1) if lay[i:i + 2] == "dd"]
+            if pairs:
+                angles = MatchgateAngles(*rng.uniform(0, 2 * np.pi, 6))
+                program.append(Gate(draw(st.sampled_from(pairs)), matchgate_from_angles(angles)))
+        # the expansion has len(lay) + 4 * swaps lines; each adaptive swap
+        # gadget multiplies the oracle's branches by 16, so at most two
+        room = DEFAULT_N_CAP - len(lay) - 4 * swaps
+        spots = {k: v for k, v in _placements(lay).items()
+                 if v and room >= {"toffoli": 1, "swap": 4}.get(k, 0)
+                 and not (k == "swap" and swaps == 2)}
+        if not spots:
+            break
+        name = draw(st.sampled_from(sorted(spots)))
+        at = draw(st.sampled_from(spots[name]))
+        if name in ("hadamard", "single_qubit_unitary"):
+            params = {"target": at[0] + 1, "ancilla": at[1] + 1}
+            if name == "single_qubit_unitary":
+                params["matrix"] = matrix2json(random_unitary(2, rng))
+        elif name == "two_qubit_unitary":
+            params = {"line": at[0] + 1, "ancilla_above": at[0], "ancilla_below": at[0] + 3,
+                      "matrix": matrix2json(random_unitary(4, rng))}
+        else:
+            params = {"line": at[0] + 1}
+        if name == "swap":
+            lay = lay[:at[0]] + lay[at[0] + 1] + lay[at[0]] + lay[at[0] + 2:]
+            swaps += 1
+        if name == "toffoli":
+            lay += "d"
+        program.append(Macro.make(name, **params))
+    program.extend(Measure(l, f"x{l}", "final") for l in range(n))
+    return Circuit(spec.n, spec, tuple(program))
+
+
+def _assert_close(want, got):
+    for key in set(want) | set(got):
+        assert abs(want.get(key, 0.0) - got.get(key, 0.0)) < 1e-8, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=_macro_circuits())
+def test_macro_expansion_matches_the_dense_reference(circuit):
+    want = macro_reference(circuit)
+    finals = [m.record_id for m in circuit.measurements("final")]
+    adaptive, _ = expand_macros(circuit)
+    _assert_close(want, run_exact(adaptive.validate()).marginal(finals))
+    post, _ = expand_macros(circuit, post_selected_swaps=True)
+    swap_records = {r: 0 for r in added_records(circuit, post, "final")}
+    _assert_close(want, post_select(run_exact(post.validate()), swap_records).marginal(finals))
+
+
+# the largest value of each line key: the register as it stands, less the
+# lines the macro needs below that line
+_LINE_KEYS = {
+    "hadamard": {"target": 0, "ancilla": 0},
+    "single_qubit_unitary": {"target": 0, "ancilla": 0},
+    "two_qubit_unitary": {"line": 1, "ancilla_above": 0, "ancilla_below": 0},
+    "toffoli": {"line": 2},
+    "swap": {"line": 1},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=_macro_circuits(), data=st.data())
+def test_macro_lines_beyond_the_register_exit_2(circuit, data):
+    macros = [i for i, ins in enumerate(circuit.program) if isinstance(ins, Macro)]
+    j = data.draw(st.sampled_from(macros))
+    ins = circuit.program[j]
+    standing = circuit.n + sum(circuit.program[i].name == "toffoli" for i in macros if i < j)
+    key = data.draw(st.sampled_from(sorted(_LINE_KEYS[ins.name])))
+    value = standing - _LINE_KEYS[ins.name][key] + data.draw(st.integers(1, 3))
+    bad = Macro.make(ins.name, **{**dict(ins.params), key: value})
+    # toffolis before the finals, whose ancillas would make up the lines named
+    finals = len(circuit.measurements("final"))
+    program = (circuit.program[:j] + (bad,) + circuit.program[j + 1:-finals]
+               + (Macro.make("toffoli", line=1),) * 3 + circuit.program[-finals:])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "macro.json"
+        path.write_text(serialize_circuit(Circuit(circuit.n, circuit.input, program)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["gadget", "expand", str(path)]) == 2
+    assert out.getvalue() == ""

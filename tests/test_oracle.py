@@ -12,13 +12,14 @@ from matchsim.circuit import (
     Guard,
     InputSpec,
     BitsBlock,
+    Macro,
     MagicBlock,
     Measure,
     ProductBlock,
     Tilted,
     bits_input,
 )
-from matchsim.errors import CapExceeded, ZeroConditionMass
+from matchsim.errors import CapExceeded, ValidationError, ZeroConditionMass
 from matchsim.oracle import (
     StateVector,
     branch_states,
@@ -248,3 +249,12 @@ def test_branch_distribution_sums_to_one():
         c = random_mg_circuit(6, 20, seed=seed, n_intermediate=2, input_spec=spec)
         dist = run_exact(c)
         assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("macro", [Macro.make("swap", line=1),
+                                   Macro.make("hadamard", target=1, ancilla=2)],
+                         ids=["swap", "hadamard"])
+def test_oracle_rejects_every_macro(macro):
+    c = Circuit(2, bits_input("10"), (Gate(0, FSWAP), macro, Measure(0, "x", "final")))
+    with pytest.raises(ValidationError, match="unexpanded macros"):
+        run_exact(c)
