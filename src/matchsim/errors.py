@@ -74,10 +74,6 @@ class DecompositionFailure(MatchsimError):
     """Euler/canonical decomposition failed (input not unitary or residual too large)."""
 
 
-class NoMagicAvailable(MatchsimError):
-    """A swap gadget was requested but no unconsumed magic block exists."""
-
-
 class UnsupportedLayout(MatchsimError):
     """Input specification cannot be lowered to canonical form."""
 

@@ -37,7 +37,6 @@ from .circuit import (
 from .errors import (
     DecompositionFailure,
     DeterminantMismatch,
-    NoMagicAvailable,
     NotUnitary,
     UnsupportedLayout,
     ValidationError,
@@ -439,8 +438,6 @@ def swap_gadget(target, magic_start, sink_base, ids: IdGen, post_selected=False)
 
     Returns (expansion, final_measures).
     """
-    if magic_start < target + 2:
-        raise NoMagicAvailable("magic block must sit below the target pair")
     exp = GadgetExpansion()
     exp.cost.magic_consumed = 1
     exp.cost.ancilla_lines = 4

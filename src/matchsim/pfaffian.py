@@ -1,19 +1,26 @@
 """Pfaffian/Wick backend.
 
-Joint outcome probabilities of adaptive matchgate circuits on computational
-basis inputs are Pfaffians of antisymmetric contraction matrices.  An input
-with one trailing entangled zone of k lines sums over at most 2^{2k} cross
-terms, pruned by Hamming-weight parity; they share the middle block F of the
-contraction matrix, so a joint costs poly(n) + 2^{2k} poly(k): one Pfaffian of
-F, one solve for the 2k x 2k Schur complement, and one Pfaffian of size <= 2k
-per cross term.  A singular or near-singular F falls back to one full
-Pfaffian per cross term, 2^{2k} poly(n).
+Joint outcome probabilities of adaptive matchgate circuits on bits plus one
+trailing superposition zone of k lines, by one of two routes.
 
-What depends only on the circuit (the admissibility check, the measurements,
-the prefix rotations, the zone's components, the input rows and h) is built
-once per circuit object, in its ``Plan``; a joint stacks its measurement
-rows between the input rows and takes one contraction matrix and its
-Pfaffians.
+At k <= 1 (bit strings, and every compiled bits + |+> input) the covariance
+route runs the Gaussian chain rule: the zone's components never interfere,
+so the state is a mixture of at most two Gaussian states, each a real
+antisymmetric covariance matrix; a segment rotates it and a measurement is a
+rank-2 update, O(n^2), with no Pfaffian.
+
+Wider zones are sums over at most 2^{2k} cross terms, pruned by
+Hamming-weight parity, of Pfaffians of antisymmetric contraction matrices;
+they share the middle block F of the contraction matrix, so a joint costs
+poly(n) + 2^{2k} poly(k): one Pfaffian of F, one solve for the 2k x 2k Schur
+complement, and one Pfaffian of size <= 2k per cross term.  A singular or
+near-singular F falls back to one full Pfaffian per cross term,
+2^{2k} poly(n).
+
+What depends only on the circuit (the admissibility check, the
+measurements, the route, the covariance route's states or the other route's
+prefix rotations, zone components, input rows and h) is built once per
+circuit object, in its ``Plan``.
 """
 
 from __future__ import annotations
@@ -127,12 +134,14 @@ class EvalStats:
 
     The Heisenberg backend fills ``term_count`` (its nominal summand count).
     The Pfaffian joint fills ``evaluated_pairs``, the Pfaffians it computed:
-    per joint one of the middle block F, plus one per parity-matched zone
-    pair when the zone is not empty (of the Schur complement; on the
-    fallback, of the pair's full matrix, except for the pair (0, 0), whose
-    matrix is F).  ``schur_fallbacks`` counts the joints whose F was too
-    close to singular for the Schur route; ``flags`` holds either backend's
-    clamped residuals (imaginary, negative, or a single-line value above 1).
+    none on the covariance route (zone width <= 1); on the pair sum, per
+    joint one of the middle block F, plus one per parity-matched zone pair
+    (of the Schur complement; on the fallback, of the pair's full matrix,
+    except for the pair (0, 0), whose matrix is F).  ``schur_fallbacks``
+    counts the joints whose F was too close to singular for the Schur route;
+    ``flags`` holds either backend's clamped residuals (imaginary, negative,
+    or a single-line value above 1), on the covariance route those of each
+    component's joint at each measurement.
     """
 
     term_count: int = 0
@@ -153,16 +162,19 @@ class Plan:
     intermediate's index, or to -1 for a final.  ``prefix_r`` maps the
     outcomes y_<s of the intermediates before segment s to the read-only
     cumulative rotation through it, which depends on nothing else, since
-    guards read only earlier records.  ``zone`` is the Pfaffian input, built
-    by the first Pfaffian joint (``_pfaffian_input``), and ``dense`` the
-    Heisenberg one, built by the first dense Heisenberg joint
-    (``heisenberg._dense_input``)."""
+    guards read only earlier records.  The first Pfaffian joint picks the
+    route: ``states``, the covariance route's memo, maps the same keys y_<s
+    to the read-only state (masses, gammas) right after segment s
+    (``_prefix_state``); ``zone`` is the pair sum's input
+    (``_pfaffian_input``).  ``dense`` is the Heisenberg input, built by the
+    first dense Heisenberg joint (``heisenberg._dense_input``)."""
 
     intermediates: list
     finals: list
     position: dict
     prefix_r: dict = field(default_factory=dict)
     zone: tuple | None = None
+    states: dict | None = None
     dense: tuple | None = None
 
 
@@ -214,16 +226,10 @@ def cumulative_ts(circuit: Circuit, outcomes: dict, upto: int, with_final: bool)
     return [t_from_r(prefix_r[key]) for key in keys]
 
 
-def measurement_rows(circuit, outcomes, backend="pfaffian") -> np.ndarray:
-    """Measurement rows of the joint-probability expression as one complex
-    (m, 2n) array in operator order (ket-side adaptive pairs, final pairs,
-    bra-side adaptive pairs).  The nominal summand count of the displayed sum
-    is (2n)^m.
-
-    ``outcomes`` must cover a contiguous prefix of the intermediate
-    measurements; final records may be included only when every intermediate
-    is assigned."""
-    p = plan(circuit, backend)
+def _assigned(p: Plan, outcomes, backend):
+    """(t, assigned finals) of an outcome assignment, which must cover a
+    contiguous prefix of t intermediate measurements; final records may be
+    included only when every intermediate is assigned."""
     for rid in outcomes:
         if rid not in p.position:
             raise BackendInapplicable(backend, f"unknown record id {rid!r}")
@@ -233,6 +239,16 @@ def measurement_rows(circuit, outcomes, backend="pfaffian") -> np.ndarray:
     assigned_finals = [m for m in p.finals if m.record_id in outcomes]
     if assigned_finals and t < len(p.intermediates):
         raise BackendInapplicable(backend, "final outcomes given while intermediates are unassigned")
+    return t, assigned_finals
+
+
+def measurement_rows(circuit, outcomes, backend="pfaffian") -> np.ndarray:
+    """Measurement rows of the joint-probability expression as one complex
+    (m, 2n) array in operator order (ket-side adaptive pairs, final pairs,
+    bra-side adaptive pairs).  The nominal summand count of the displayed sum
+    is (2n)^m.  ``outcomes`` is checked by ``_assigned``."""
+    p = plan(circuit, backend)
+    t, assigned_finals = _assigned(p, outcomes, backend)
     ts = cumulative_ts(circuit, outcomes, t, bool(assigned_finals))
     adaptive = [_projector_rows(ts[s][m.line], outcomes[m.record_id])
                 for s, m in enumerate(p.intermediates[:t])]
@@ -286,9 +302,10 @@ def _input_rows(lines, n):
     return rows
 
 
-def _pfaffian_input(circuit: Circuit):
-    """The plan's read-only ``zone``, built on first use: (components, zone
-    width k, h, bra rows, ket rows).  The ket rows are the input 1-positions
+def _pfaffian_input(circuit: Circuit, canon: CanonicalInput | None = None):
+    """The plan's read-only ``zone``, built on first use from ``canon`` (by
+    default, the circuit's canonical input): (components, zone width k, h,
+    bra rows, ket rows).  The ket rows are the input 1-positions
     and then the zone lines, ascending; the bra rows descend.
 
     One component per nonzero zone amplitude lam_w, w ascending: (lam_w,
@@ -298,7 +315,7 @@ def _pfaffian_input(circuit: Circuit):
     serves the contraction matrix and its Schur complement alike."""
     p = plan(circuit, "pfaffian")
     if p.zone is None:
-        canon = split_canonical_input(circuit)
+        canon = canon or split_canonical_input(circuit)
         n, k = circuit.n, circuit.n - len(canon.bits)
         ket = _input_rows([i for i, b in enumerate(canon.bits) if b == "1"]
                           + list(range(n - k, n)), n)
@@ -312,6 +329,113 @@ def _pfaffian_input(circuit: Circuit):
             a.flags.writeable = False
         p.zone = (tuple(comps), k, h, bra, ket)
     return p.zone
+
+
+# ---------------------------------------------------------------------------
+# Covariance route: zones of width <= 1
+# ---------------------------------------------------------------------------
+#
+# Matchgates and computational measurements preserve parity, so the two
+# components of a width-1 zone never interfere: the state stays a mixture of
+# pure Gaussian states, one per nonzero amplitude lam_w, of weight |lam_w|^2
+# (a bit string is the one-component case).  A component is its real
+# antisymmetric covariance Gamma[mu, nu] = -i <c_mu c_nu>, mu != nu; bit b on
+# line l gives Gamma[2l, 2l+1] = 1 - 2b.  A segment of rotation R maps Gamma
+# to R^T Gamma R, and a measurement is a rank-2 update (``_measure``).  A
+# state is (masses, gammas): each component's weight times the probability of
+# the outcomes measured so far, and the components' (c, 2n, 2n) stack.
+
+
+def _input_state(canon: CanonicalInput, n):
+    """The state of a canonical input with a zone of width <= 1."""
+    bits = [int(b) for b in canon.bits]
+    ws = np.flatnonzero(canon.zone_amps)
+    z = 1.0 - 2.0 * np.array([bits + [int(w)] * (len(canon.zone_amps) == 2) for w in ws])
+    gammas = np.zeros((len(ws), 2 * n, 2 * n))
+    lines = np.arange(n)
+    gammas[:, 2 * lines, 2 * lines + 1] = z
+    gammas[:, 2 * lines + 1, 2 * lines] = -z
+    return np.abs(canon.zone_amps[ws]) ** 2, gammas
+
+
+def _outcome_masses(state, line, outcome, flags):
+    """Each component's mass times its probability p = (1 + z Gamma[a, b]) / 2
+    of ``outcome`` on ``line`` (z = 1 - 2 outcome, a = 2l, b = a + 1): the
+    joint of its branch, through ``_clamp_probability``'s rules.  The rules
+    apply to that joint, not to p: once a branch of mass ~1e-16 is
+    conditioned on, its Gamma holds rounding noise divided by p, and its
+    next p can read -1e-7 while the joint it adds is far below
+    ``NEG_CLAMP``."""
+    masses, gammas = state
+    z = 1 - 2 * outcome
+    joints = masses * (1 + z * gammas[:, 2 * line, 2 * line + 1]) / 2
+    return np.array([_clamp_probability(v, flags, "pfaffian") for v in joints.tolist()])
+
+
+def _measure(state, line, outcome, flags):
+    """``state`` after ``outcome`` on ``line``: each component's mass as
+    ``_outcome_masses`` gives it, and Gamma + z (Gamma[:, b] Gamma[:, a]^T -
+    Gamma[:, a] Gamma[:, b]^T) / (2p) with rows and columns a, b reset to the
+    pure outcome Gamma[a, b] = z.  A component whose mass drops to 0 (p <= 0)
+    is dropped."""
+    masses = _outcome_masses(state, line, outcome, flags)
+    keep = masses > 0
+    gammas = state[1][keep]
+    a, b, z = 2 * line, 2 * line + 1, 1 - 2 * outcome
+    probs = (1 + z * gammas[:, a, b]) / 2
+    upd = gammas[:, :, b, None] * gammas[:, None, :, a]
+    out = gammas + (z / (2 * probs))[:, None, None] * (upd - upd.transpose(0, 2, 1))
+    out[:, [a, b], :] = 0.0
+    out[:, :, [a, b]] = 0.0
+    out[:, a, b], out[:, b, a] = z, -z
+    return masses[keep], out
+
+
+def _after_segment(masses, gammas, seg, n):
+    """The read-only state (masses, R^T Gamma R) after ``seg``, of rotation R."""
+    r = segment_rotation(seg, n)
+    gammas = r.T @ gammas @ r
+    for a in (masses, gammas):
+        a.flags.writeable = False
+    return masses, gammas
+
+
+def _prefix_state(circuit: Circuit, p: Plan, outcomes, y, flags):
+    """The state right after segment len(y), with the intermediates before
+    it measured as ``y``, from the plan's memo: the longest stored prefix of
+    ``y`` is extended one segment at a time, and each state it passes is
+    stored, read-only, under its y-prefix."""
+    states = p.states
+    s0 = len(y)
+    while y[:s0] not in states:
+        s0 -= 1
+    if s0 < len(y):
+        segs = instantiate_segments(
+            circuit, outcomes, upto=None if len(y) == len(p.intermediates) else len(y) + 1)
+        state = states[y[:s0]]
+        for s in range(s0 + 1, len(y) + 1):
+            masses, gammas = _measure(state, p.intermediates[s - 1].line, y[s - 1], flags)
+            state = states[y[:s]] = _after_segment(masses, gammas, segs[s], circuit.n)
+    return states[y]
+
+
+def _covariance_joint(circuit: Circuit, p: Plan, outcomes, t, finals, flags) -> float:
+    """The joint of the first t intermediates and the assigned ``finals``,
+    measured from the stored state before them: every measurement but the
+    last through ``_measure``, the last through ``_outcome_masses`` alone."""
+    y = tuple(outcomes[m.record_id] for m in p.intermediates[:t])
+    if finals:
+        state = _prefix_state(circuit, p, outcomes, y, flags)
+        measured = [(m.line, outcomes[m.record_id]) for m in finals]
+    elif t:
+        state = _prefix_state(circuit, p, outcomes, y[:-1], flags)
+        measured = [(p.intermediates[t - 1].line, y[-1])]
+    else:
+        return float(p.states[()][0].sum())
+    *first, last = measured
+    for line, outcome in first:
+        state = _measure(state, line, outcome, flags)
+    return float(_outcome_masses(state, *last, flags).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -357,33 +481,49 @@ def joint_prob_entangled(circuit: Circuit, outcomes: dict,
     superposition zone of k lines.
 
     ``outcomes`` assigns bits to a prefix of the intermediate records plus
-    any subset of final records (unassigned finals are marginalized).
-    The zone state is expanded over computational components w with
-    amplitudes lam_w; the probability is sum over (w, w') of
-    lam_w lam_{w'}^* Pf(O_{w,w'}), and pairs whose Hamming weights differ in
+    any subset of final records (unassigned finals are marginalized).  At
+    k <= 1 the covariance route measures the plan's memoised Gaussian
+    states (``_covariance_joint``); wider zones take the Pfaffian pair sum
+    (``_pair_sum``).  The first joint on a circuit picks the route.
+    """
+    stats = stats if stats is not None else EvalStats()
+    p = plan(circuit, "pfaffian")
+    if p.states is None and p.zone is None:
+        canon = split_canonical_input(circuit)
+        if len(canon.zone_amps) > 2:
+            _pfaffian_input(circuit, canon)
+        else:
+            # the state after segment 0, which reads no outcome
+            (seg,) = instantiate_segments(circuit, {}, upto=1)
+            p.states = {(): _after_segment(*_input_state(canon, circuit.n), seg, circuit.n)}
+    if p.states is None:
+        return _pair_sum(circuit, outcomes, stats)
+    t, finals = _assigned(p, outcomes, "pfaffian")
+    return _covariance_joint(circuit, p, outcomes, t, finals, stats.flags)
+
+
+def _pair_sum(circuit: Circuit, outcomes: dict, stats: EvalStats) -> float:
+    """The joint as a sum over component pairs (w, w') of
+    lam_w lam_{w'}^* Pf(O_{w,w'}); pairs whose Hamming weights differ in
     parity are skipped since their vacuum expectation vanishes.
 
     Every O_{w,w'} shares its middle block F (bra bits, measurement rows, ket
     bits), which has even size, so Pf(O_{w,w'}) = Pf(F) Pf(S[sel]) with the
     Schur complement S = Z + X^T F^-1 X over the 2k candidate zone rows: one
     n-sized Pfaffian and one solve, then one Pfaffian of size <= 2k per pair.
-    A bit-string input is the width-0 zone: Pf(F) alone.  When F is
-    singular or close to it (|Pf(F)| <= ``PF_FLOOR``, as when a zone line
-    that no gate touches is measured 1, or an entry of S beyond
+    When F is singular or close to it (|Pf(F)| <= ``PF_FLOOR``, as when a
+    zone line that no gate touches is measured 1, or an entry of S beyond
     ``SCHUR_CAP``), the same loop over the zone's components takes each
     pair's full Pfaffian instead (Pf(F) itself for the pair (0, 0)), and
     ``stats.schur_fallbacks`` counts the joint.
     """
     comps, k, h, bra_rows, ket_rows = _pfaffian_input(circuit)
-    stats = stats if stats is not None else EvalStats()
     rows = np.vstack([bra_rows, measurement_rows(circuit, outcomes), ket_rows])
     f = len(rows) - 2 * k
     # operator order: [bra zone (k), F (f), ket zone (k)]
     o = build_o(rows, h)
     pf_f = pfaffian(o[k:k + f, k:k + f])
     stats.evaluated_pairs += 1
-    if not k:
-        return _clamp_probability(pf_f, stats.flags, "pfaffian")
     s = _schur_complement(o, k, f) if abs(pf_f) > PF_FLOOR else None
     if s is None:
         stats.schur_fallbacks += 1

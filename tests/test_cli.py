@@ -41,6 +41,20 @@ def adaptive_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def zone_file(tmp_path):
+    """An adaptive circuit on bits + a trailing width-3 zone, which
+    ``compile_circuit`` keeps (it lowers blocks of width <= 2 to a |+> line),
+    so every Pfaffian-backend command on it takes the pair sum."""
+    amps = np.zeros(8, dtype=complex)
+    amps[[0, 3, 6]] = [0.6, 0.48j, -0.64]
+    spec = InputSpec((BitsBlock("10"), EntangledBlock(3, amps)))
+    c = random_mg_circuit(5, 15, seed=32, n_intermediate=2, input_spec=spec, final_lines=[0, 3])
+    path = tmp_path / "zone.json"
+    path.write_text(serialize_circuit(c))
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -96,6 +110,8 @@ def test_sample_deterministic_bytes(capsys, adaptive_file):
 _SAMPLE_DIGESTS = {
     "pfaffian": ("f15fc6bdca698f4101471d3fddd6452ab209e491dd50c6b84f3b0eead1720d0a",
                  "9d25faf4a8d955e6ae8f0e84005096e99d60bb3130ae5fe658b1ab25b2aca519"),
+    "pfaffian-bits": ("4a38ad956dc3aeb42bf86b5b5619f93d09937d8c50167afc12efb2cb13def307",
+                      "aaa031b269168e63081b7d08017e7536fdc9c311d2b30e86fa7052e86cf62680"),
     "heisenberg": ("422a985cc4b52a94f111fa76efd29dccc79b066ef66c501dcc427594290e73ba",
                    "c668acbfc1a7891252ad9c06a49710164b54468fd5e5c41bbbdaa43c7c2bb54b"),
     "oracle": ("06b8697d81777b84960076865ad669196441d296bbf0c0ca22f492e5eebc3ca5",
@@ -103,16 +119,19 @@ _SAMPLE_DIGESTS = {
 }
 
 
-def _digest_case(backend):
-    """(circuit, shots, seed) per backend: an adaptive circuit whose
-    entangled block needs compiling for the Pfaffian sampler, a
-    two-intermediate one for the Heisenberg sampler, and an oracle one."""
-    if backend == "pfaffian":
+def _digest_case(case):
+    """(circuit, shots, seed) per case: an adaptive circuit whose entangled
+    block needs compiling for the Pfaffian sampler, a bit-input one for it,
+    a two-intermediate one for the Heisenberg sampler, and an oracle one."""
+    if case == "pfaffian-bits":
+        return random_mg_circuit(6, 24, seed=104, n_intermediate=2, input_spec=bits_input("101100"),
+                                 final_lines=[1, 4]), 600, 19
+    if case == "pfaffian":
         spec = InputSpec((BitsBlock("10"), EntangledBlock(2, np.array([0.5, 0.5j, -0.5, 0.5])),
                           BitsBlock("01")))
         return random_mg_circuit(6, 24, seed=101, n_intermediate=2, input_spec=spec,
                                  final_lines=[1, 4]), 600, 17
-    if backend == "heisenberg":
+    if case == "heisenberg":
         return random_mg_circuit(4, 14, seed=102, n_intermediate=2, final_lines=[0, 3]), 300, 23
     return random_mg_circuit(5, 16, seed=103, n_intermediate=1), 600, 29
 
@@ -122,7 +141,8 @@ def test_sample_stdout_digests(capsys, tmp_path, backend):
     circuit, shots, seed = _digest_case(backend)
     path = tmp_path / "circuit.json"
     path.write_text(serialize_circuit(circuit))
-    argv = ["sample", str(path), "--shots", str(shots), "--seed", str(seed), "--backend", backend]
+    argv = ["sample", str(path), "--shots", str(shots), "--seed", str(seed),
+            "--backend", backend.split("-")[0]]
     digests = []
     for extra in ([], ["--json"]):
         code, out = run_cli(capsys, *argv, *extra)
@@ -465,13 +485,41 @@ def test_absurd_count_exits_inapplicable(capsys, adaptive_file, argv):
     assert out == ""
 
 
-def test_negative_probability_flag_reaches_report(capsys, fswap_file, monkeypatch):
+def test_negative_probability_flag_reaches_report(capsys, zone_file, monkeypatch):
     import matchsim.pfaffian
 
+    # the pair loop sums lam_w lam_{w'}^* Pf over the kept pairs: with every
+    # Pfaffian at -0.5, the joint is -0.5 |0.6 + 0.48j - 0.64|^2 < 0
+    monkeypatch.setattr(matchsim.pfaffian, "PF_FLOOR", np.inf)
     monkeypatch.setattr(matchsim.pfaffian, "pfaffian", lambda m: -0.5)
-    code, out = run_cli(capsys, "prob", fswap_file, "-p", "01", "--backend", "pfaffian")
+    code, out = run_cli(capsys, "prob", zone_file, "-p", "01", "--backend", "pfaffian")
     assert code == 0
     assert "negative probability" in out
+    code, out = run_cli(capsys, "prob", zone_file, "-p", "01", "--backend", "pfaffian",
+                        "--json")
+    assert any("negative probability" in f for f in json.loads(out)["flags"])
+    code, out = run_cli(capsys, "xcheck", zone_file)
+    assert "negative probability" in out
+
+
+def _scaled_outcome_masses(monkeypatch, factor):
+    """Every covariance-route measurement reads its components' Gamma times
+    ``factor``."""
+    import matchsim.pfaffian
+
+    original = matchsim.pfaffian._outcome_masses
+    monkeypatch.setattr(matchsim.pfaffian, "_outcome_masses",
+                        lambda state, line, outcome, flags:
+                        original((state[0], factor * state[1]), line, outcome, flags))
+
+
+def test_negative_covariance_probability_flag_reaches_report(capsys, fswap_file, monkeypatch):
+    # line 0 reads 0 after the fSWAP, Gamma[0, 1] = 1: scaled by -3, p(0) = -1
+    _scaled_outcome_masses(monkeypatch, -3.0)
+    code, out = run_cli(capsys, "prob", fswap_file, "-p", "01", "--backend", "pfaffian")
+    assert code == 0
+    assert "p(01) = 0.0" in out
+    assert "negative probability -1.00e+00" in out
     code, out = run_cli(capsys, "prob", fswap_file, "-p", "01", "--backend", "pfaffian",
                         "--json")
     assert any("negative probability" in f for f in json.loads(out)["flags"])
@@ -479,12 +527,22 @@ def test_negative_probability_flag_reaches_report(capsys, fswap_file, monkeypatc
     assert "negative probability" in out
 
 
-def test_nan_probability_exits_inapplicable(capsys, adaptive_file, monkeypatch):
+def test_nan_probability_exits_inapplicable(capsys, zone_file, monkeypatch):
     import matchsim.pfaffian
 
     monkeypatch.setattr(matchsim.pfaffian, "pfaffian", lambda m: float("nan"))
-    for argv in (["prob", "F", "-p", "0**1", "--backend", "pfaffian"],
+    for argv in (["prob", "F", "-p", "0*", "--backend", "pfaffian"],
                  ["sample", "F", "--shots", "3", "--backend", "pfaffian"]):
+        code, out = run_argv(capsys, argv, zone_file)
+        assert code == 3
+        assert out == ""
+
+
+def test_nan_covariance_probability_exits_inapplicable(capsys, adaptive_file, monkeypatch):
+    _scaled_outcome_masses(monkeypatch, np.nan)
+    for argv in (["prob", "F", "-p", "0**1", "--backend", "pfaffian"],
+                 ["sample", "F", "--shots", "3", "--backend", "pfaffian"],
+                 ["xcheck", "F"]):
         code, out = run_argv(capsys, argv, adaptive_file)
         assert code == 3
         assert out == ""

@@ -27,7 +27,7 @@ from matchsim.circuit import (
     matchgate_from_components,
 )
 from matchsim.cli import main
-from matchsim.errors import NoMagicAvailable, UnsupportedLayout
+from matchsim.errors import UnsupportedLayout
 from matchsim.gadgets import (
     H2,
     GadgetCost,
@@ -45,7 +45,6 @@ from matchsim.gadgets import (
     plus_state_gadget,
     prepare_two_qubit_inputs,
     single_qubit_unitary,
-    swap_gadget,
     toffoli_gadget,
     two_qubit_unitary,
 )
@@ -284,11 +283,6 @@ def test_swap_gadget_cost_ledger():
         assert [m.role for m in out.measurements() if m.record_id != "x0"] == (
             ["final" if post else "intermediate"] * 8)
         assert out.program[-9 if post else -1].record_id == "x0"
-
-
-def test_swap_gadget_requires_magic():
-    with pytest.raises(NoMagicAvailable):
-        swap_gadget(2, 1, 8, IdGen())
 
 
 def test_swap_correction_table_regression():

@@ -1,5 +1,6 @@
 """Pfaffian kernel and Wick-backend tests against the dense oracle."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -244,10 +245,11 @@ def _full_records(c):
 
 
 def _pair_loop(c, outcomes, stats=None):
-    """The joint with every pair's full Pfaffian: the Schur route's fallback."""
+    """The pair sum with every pair's full Pfaffian (the Schur route's
+    fallback), called directly, so at any zone width."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matchsim.pfaffian, "PF_FLOOR", np.inf)
-        return joint_prob_entangled(c, outcomes, stats)
+        return matchsim.pfaffian._pair_sum(c, outcomes, stats or EvalStats())
 
 
 def _literal_pair_sum(c, outcomes):
@@ -298,6 +300,70 @@ def test_full_route_matches_literal_pair_sum_and_oracle(c):
         assert stats.evaluated_pairs == 1 + kept - (amps[0] != 0)
         assert abs(q - _literal_pair_sum(c, oc)) < 1e-12
         assert abs(q - dist.probs.get(tuple(oc.items()), 0.0)) < 1e-7
+
+
+def _with_idle_line(c, bit, role):
+    """``c`` with a line 0 prepended that holds ``bit`` and no gate touches,
+    measured first (``role`` intermediate) or last (final) as record "u":
+    its other outcome has probability exactly 0."""
+    first, *rest = c.input.blocks  # the bits, from ``_covariance_circuits``
+    blocks = (BitsBlock(str(bit) + first.bits), *rest)
+    program = tuple(dataclasses.replace(ins, line=ins.line + 1) for ins in c.program)
+    idle = Measure(0, "u", role)
+    program = (idle,) + program if role == "intermediate" else program + (idle,)
+    return Circuit(c.n + 1, InputSpec(blocks), program).validate()
+
+
+@st.composite
+def _covariance_circuits(draw):
+    """Bits, or bits + one |+> or product line, with 0-3 guarded
+    intermediates and an idle line measured as an intermediate or a final."""
+    n = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    bits = "".join(rng.choice(["0", "1"], size=n))
+    last = draw(st.sampled_from(["bit", "plus", "product"]))
+    if last == "bit":
+        spec = bits_input(bits)
+    else:
+        state = PLUS if last == "plus" else rng.normal(size=2) + 1j * rng.normal(size=2)
+        spec = InputSpec((BitsBlock(bits[1:]), ProductBlock((state / np.linalg.norm(state),))))
+    finals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    c = random_mg_circuit(n, draw(st.integers(1, 2 * n)), seed=seed,
+                          n_intermediate=draw(st.integers(0, 3)), input_spec=spec,
+                          final_lines=sorted(finals), guard_prob=0.8)
+    return _with_idle_line(c, int(rng.integers(2)), draw(st.sampled_from(["intermediate",
+                                                                          "final"])))
+
+
+def _assignments(c):
+    """Every y-prefix alone, then every full y with each final assigned 0, 1
+    or left out."""
+    inters = [m.record_id for m in c.measurements("intermediate")]
+    finals = [m.record_id for m in c.measurements("final")]
+    for t in range(len(inters) + 1):
+        for y in itertools.product((0, 1), repeat=t):
+            yield dict(zip(inters, y))
+    for y in itertools.product((0, 1), repeat=len(inters)):
+        for x in itertools.product((0, 1, None), repeat=len(finals)):
+            if any(b is not None for b in x):
+                yield {**dict(zip(inters, y)),
+                       **{rid: b for rid, b in zip(finals, x) if b is not None}}
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=_covariance_circuits())
+def test_covariance_route_matches_pair_loop_and_oracle(c):
+    dist = run_exact(c)
+    idle_bit = int(c.input.blocks[0].bits[0])
+    stats = EvalStats()
+    for oc in _assignments(c):
+        q = joint_prob_entangled(c, oc, stats)
+        assert abs(q - _pair_loop(c, oc)) < 1e-12
+        assert abs(q - dist.probability(oc)) < 1e-7
+        if oc.get("u", idle_bit) != idle_bit:
+            assert q == 0.0  # every component dropped, none divided by
+    assert (stats.evaluated_pairs, stats.flags) == (0, [])
 
 
 def test_singular_middle_block_takes_the_pair_loop():

@@ -68,11 +68,20 @@ def test_cached_rows_equal_fresh_rows_bit_for_bit(n, depth, k, seed):
         assert np.array_equal(measurement_rows(circuit, outcomes), _fresh_rows(circuit, outcomes))
 
 
-def _warm_circuit():
-    circuit = random_mg_circuit(4, 12, seed=8, n_intermediate=2)
+_ZONE = InputSpec((BitsBlock("01"), EntangledBlock(2, np.array([0.6, 0.0, 0.0, 0.8j]))))
+
+
+def _warm_circuit(input_spec=None):
+    """A two-intermediate circuit with a joint taken on every record: on
+    bits (the default) the joints take the covariance route, on ``_ZONE``
+    the pair sum."""
+    circuit = random_mg_circuit(4, 12, seed=8, n_intermediate=2, input_spec=input_spec)
     for outcomes in _records(circuit):
         joint_prob_entangled(circuit, outcomes)
     return circuit
+
+
+_Y_PREFIXES = {y for t in range(3) for y in itertools.product((0, 1), repeat=t)}
 
 
 def test_caches_die_with_their_circuit():
@@ -82,38 +91,61 @@ def test_caches_die_with_their_circuit():
     gates = [g.gate for g in circuit.gates()]
     assert circuit in pfaffian._PLANS
     assert all(g in majorana._BLOCKS for g in gates)
-    refs = [weakref.ref(circuit)] + [weakref.ref(g) for g in gates]
-    del circuit, gates
+    plan = pfaffian._PLANS[circuit]
+    refs = [weakref.ref(circuit), weakref.ref(plan)] + [weakref.ref(g) for g in gates]
+    # the covariance memo's states
+    refs += [weakref.ref(a) for state in plan.states.values() for a in state]
+    del circuit, gates, plan
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert (len(majorana._BLOCKS), len(pfaffian._PLANS)) == (blocks, plans)
 
 
 def test_cached_blocks_and_rotations_are_read_only():
-    circuit = _warm_circuit()
+    circuit = _warm_circuit(_ZONE)
     block = majorana._BLOCKS[circuit.gates()[0].gate]
     with pytest.raises(ValueError):
         block[0, 0] = 2.0
     rotations = pfaffian._PLANS[circuit].prefix_r
     # one rotation per y-prefix: through segments 0, 1 and 2
-    assert set(rotations) == {y for t in range(3) for y in itertools.product((0, 1), repeat=t)}
+    assert set(rotations) == _Y_PREFIXES
     for r in rotations.values():
         with pytest.raises(ValueError):
             r[0, 0] = 2.0
 
 
-def test_warm_joints_redo_no_per_circuit_work(monkeypatch):
-    amps = np.array([0.6, 0.0, 0.0, 0.8j])
-    spec = InputSpec((BitsBlock("01"), EntangledBlock(2, amps)))
-    circuit = random_mg_circuit(4, 12, seed=8, n_intermediate=2, input_spec=spec)
-    records = list(_records(circuit))
-    cold = [joint_prob_entangled(circuit, outcomes) for outcomes in records]
+def test_covariance_states_are_read_only_and_fill_no_pair_sum_input():
+    plan = pfaffian._PLANS[_warm_circuit()]
+    # one state per y-prefix: after segments 0, 1 and 2
+    assert set(plan.states) == _Y_PREFIXES
+    assert (plan.prefix_r, plan.zone) == ({}, None)
+    for masses, gammas in plan.states.values():
+        for a in (masses, gammas):
+            with pytest.raises(ValueError):
+                a[0] = 2.0
 
-    def refuse(*args):
+
+def _refuse_per_circuit_work(monkeypatch):
+    def refuse(*args, **kwargs):
         raise AssertionError("a warm joint redid per-circuit work")
 
     monkeypatch.setattr(pfaffian, "instantiate_segments", refuse)
     monkeypatch.setattr(pfaffian, "split_canonical_input", refuse)
+
+
+def test_warm_joints_redo_no_per_circuit_work(monkeypatch):
+    circuit = random_mg_circuit(4, 12, seed=8, n_intermediate=2, input_spec=_ZONE)
+    records = list(_records(circuit))
+    cold = [joint_prob_entangled(circuit, outcomes) for outcomes in records]
+    _refuse_per_circuit_work(monkeypatch)
     assert [joint_prob_entangled(circuit, outcomes) for outcomes in records] == cold
     for outcomes in records:
         joint_prob_few_adaptive(circuit, outcomes)
+
+
+def test_warm_covariance_joints_redo_no_per_circuit_work(monkeypatch):
+    circuit = random_mg_circuit(4, 12, seed=8, n_intermediate=2)
+    records = list(_records(circuit))
+    cold = [joint_prob_entangled(circuit, outcomes) for outcomes in records]
+    _refuse_per_circuit_work(monkeypatch)
+    assert [joint_prob_entangled(circuit, outcomes) for outcomes in records] == cold

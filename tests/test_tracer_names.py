@@ -8,7 +8,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from matchsim import cli, heisenberg, majorana, oracle, pfaffian
+from matchsim.circuit import BitsBlock, EntangledBlock, InputSpec
 from matchsim.oracle import random_mg_circuit
 from matchsim.serialize import serialize_circuit
 
@@ -40,6 +43,11 @@ def test_tracer_install_and_restore_keep_every_patched_name(tmp_path, capsys):
     tracing = _tracer_module()
     path = tmp_path / "adaptive.json"
     path.write_text(serialize_circuit(random_mg_circuit(4, 10, seed=3, n_intermediate=1)))
+    # a width-3 zone, which compiling keeps, so the joints take the pair sum
+    zone = tmp_path / "zone.json"
+    spec = InputSpec((BitsBlock("01"), EntangledBlock(3, np.full(8, 8 ** -0.5))))
+    zone.write_text(serialize_circuit(random_mg_circuit(5, 10, seed=3, n_intermediate=1,
+                                                        input_spec=spec)))
     before = _snapshot()
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
@@ -51,6 +59,9 @@ def test_tracer_install_and_restore_keep_every_patched_name(tmp_path, capsys):
         sample_counts = tracer.end_command()
         tracer.begin_command("prob")
         assert cli.main(["prob", str(path), "-p", "0***", "--backend", "pfaffian"]) == 0
+        tracer.end_command()
+        tracer.begin_command("prob-zone")
+        assert cli.main(["prob", str(zone), "-p", "0****", "--backend", "pfaffian"]) == 0
         prob_counts = tracer.end_command()
     finally:
         restore()
